@@ -5,13 +5,13 @@ gamma(2k) products, and how their behavior depends on the parity of
 the dimension: vanishing on odd n, periodic repetition on even n.
 """
 
-from shiftperm import BitVector, eval_gamma, shift
+from shiftperm import BitVector, eval_gamma
 
 x = BitVector.from_bits([0, 0, 1, 0, 0, 0])
 print("x          =", x)
-print("shift(x,1) =", shift(x, 1))
-print("shift(x,2) =", shift(x, 2))
-print("shift(x,6) =", shift(x, 6), "(a full turn is the identity)")
+print("x.shift(1) =", x.shift(1))
+print("x.shift(2) =", x.shift(2))
+print("x.shift(6) =", x.shift(6), "(a full turn is the identity)")
 print()
 
 # gamma(0) is the identity; gamma(2) applied to a single set bit
@@ -38,5 +38,5 @@ print()
 
 # shift-invariance: evaluating after a shift equals shifting the value
 y = eval_gamma(2, sample)
-print("gamma(4) at shift(x,1):", eval_gamma(2, shift(sample, 1)))
-print("shift(gamma(4) at x,1):", shift(y, 1))
+print("gamma(4) at shift(x,1):", eval_gamma(2, sample.shift(1)))
+print("shift(gamma(4) at x,1):", y.shift(1))

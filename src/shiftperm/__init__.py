@@ -10,14 +10,13 @@ synthesizes inverses, computes xi, degrees and differential uniformity;
 cli exposes everything as commands.
 """
 
-from .bitstate import BitVector, add, eval_gamma, pointwise_mul, shift
+from .bitstate import BitVector, eval_gamma
 from .poly2 import (
     ONE,
     X,
     ZERO,
     BinPoly,
     Factorization,
-    divrem,
     ext_gcd,
     factor,
     find_irreducible_of_order,
@@ -41,7 +40,6 @@ from .ring import (
 )
 from .gammaspan import (
     GammaCombination,
-    canonicalize,
     chi,
     compose,
     compose_oracle,

@@ -166,20 +166,12 @@ def algebraic_degree(f: GammaCombination, n: int | None = None, limit: int = ANF
     return tables.anf_degree(tables.function_table(g.mask, g.n), g.n)
 
 
-def differential_uniformity(
-    f: GammaCombination,
-    n: int | None = None,
-    limit: int = DU_LIMIT,
-    shift_classes: bool = False,
-) -> int:
-    """Largest difference distribution table entry, by full scan.
-
-    shift_classes=True scans one input difference per cyclic-shift class;
-    the default leaves the oracle assumption-free.
-    """
+def differential_uniformity(f: GammaCombination, n: int | None = None, limit: int = DU_LIMIT) -> int:
+    """Largest difference distribution table entry, scanning one input
+    difference per cyclic-shift class (exact for these shift-invariant maps)."""
     g = _bind(f, n)
     tables.check_limit(g.n, limit, "difference distribution scan")
-    return tables.ddt_max(tables.function_table(g.mask, g.n), g.n, shift_classes)
+    return tables.ddt_max(tables.function_table(g.mask, g.n), g.n)
 
 
 def perturb(f, multiplier: BinPoly, m: int) -> GammaCombination:
@@ -300,13 +292,15 @@ def analyze(
     g = _bind(f, n)
     ok, witness = is_permutation(g)
     inv = inverse(g) if ok else None
-    deg = algebraic_degree(g, limit=anf_limit) if g.n <= anf_limit else None
-    inv_deg = (
-        algebraic_degree(inv, limit=anf_limit)
-        if inv is not None and g.n <= anf_limit
-        else None
-    )
-    du = differential_uniformity(g, limit=du_limit) if g.n <= du_limit else None
+    deg = inv_deg = du = None
+    if g.n <= max(anf_limit, du_limit):
+        table = tables.function_table(g.mask, g.n)
+        if g.n <= anf_limit:
+            deg = tables.anf_degree(table, g.n)
+            if inv is not None:
+                inv_deg = tables.anf_degree(tables.function_table(inv.mask, g.n), g.n)
+        if g.n <= du_limit:
+            du = tables.ddt_max(table, g.n)
     return AnalysisReport(
         f=g,
         n=g.n,

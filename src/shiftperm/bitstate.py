@@ -2,7 +2,7 @@
 
 A state is an immutable BitVector: `n` is the dimension and bit i of
 the packed int `bits` holds the coordinate x_i.  Indexing is 0-based
-and cyclic, all coordinate arithmetic is mod n.  shift(x, j) is the
+and cyclic, all coordinate arithmetic is mod n.  x.shift(j) is the
 j-fold cyclic left shift: result_i = x_{(i+j) mod n}.
 
 gamma(2k) is the shift-product map
@@ -70,13 +70,11 @@ class BitVector:
         """The vector 1 + x."""
         return BitVector(self.n, self.bits ^ ((1 << self.n) - 1))
 
-    def pointwise_mul(self, other: "BitVector") -> "BitVector":
+    def __mul__(self, other):
+        """Componentwise product."""
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
         return BitVector(self.n, self.bits & other.bits)
-
-    def __mul__(self, other):
-        return self.pointwise_mul(other)
 
     def __add__(self, other):
         if self.n != other.n:
@@ -103,21 +101,6 @@ def _rot(bits: int, j: int, n: int) -> int:
         return bits
     full = (1 << n) - 1
     return ((bits >> j) | (bits << (n - j))) & full
-
-
-def shift(x: BitVector, j: int) -> BitVector:
-    """Cyclic left shift of x by j places (j may be any integer)."""
-    return x.shift(j)
-
-
-def pointwise_mul(x: BitVector, y: BitVector) -> BitVector:
-    """Componentwise product of two states."""
-    return x.pointwise_mul(y)
-
-
-def add(x: BitVector, y: BitVector) -> BitVector:
-    """Componentwise sum (XOR) of two states."""
-    return x + y
 
 
 def eval_gamma(k: int, x: BitVector) -> BitVector:

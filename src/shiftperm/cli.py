@@ -171,6 +171,7 @@ def _run_xi(args) -> int:
 
 def _run_enumerate(args) -> int:
     mod = Modulus(args.n)
+    tables.check_limit(mod.degree, tables.BIJECTIVITY_LIMIT, "unit enumeration")
     perms = []
     for mask in range(1, 1 << mod.degree, 2):
         if ring.is_unit(reduce(BinPoly(mask), mod)):

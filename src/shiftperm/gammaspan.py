@@ -24,20 +24,23 @@ from .poly2 import BinPoly
 from .ring import Modulus, RingElement, reduce, ring_mul
 
 
+def _xor_fold(x: int, width: int) -> int:
+    """XOR of the width-bit chunks of x, folding at doubling multiples of width."""
+    while x >> width:
+        w = width
+        while 2 * w < x.bit_length():
+            w *= 2
+        x = (x & ((1 << w) - 1)) ^ (x >> w)
+    return x
+
+
 def _canonical_mask(mask: int, n) -> int:
     if n is None:
         return mask
-    out = 0
     if n % 2:
-        for k in range(mask.bit_length()):
-            if (mask >> k) & 1 and 2 * k <= n:
-                out ^= 1 << k
-    else:
-        half = n // 2
-        for k in range(mask.bit_length()):
-            if (mask >> k) & 1:
-                out ^= 1 << (k if k < half else half + k % half)
-    return out
+        return mask & ((1 << (n // 2 + 1)) - 1)
+    half = n // 2
+    return (mask & ((1 << half) - 1)) ^ (_xor_fold(mask >> half, half) << half)
 
 
 class GammaCombination:
@@ -144,11 +147,6 @@ class GammaCombination:
 
     def __repr__(self):
         return f"GammaCombination({bin(self.mask)}, n={self.n})"
-
-
-def canonicalize(n: int, terms) -> GammaCombination:
-    """Combination with the given k-indices, reduced to canonical form on F_2^n."""
-    return GammaCombination.from_indices(terms, n)
 
 
 def gamma_term(k: int, n: int | None = None) -> GammaCombination:

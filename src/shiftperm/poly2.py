@@ -186,21 +186,6 @@ def x_power(k: int) -> BinPoly:
     return BinPoly(1 << k)
 
 
-def add(a: BinPoly, b: BinPoly) -> BinPoly:
-    """Sum of two polynomials (coefficient-wise XOR)."""
-    return a + b
-
-
-def mul(a: BinPoly, b: BinPoly) -> BinPoly:
-    """Carry-less product of two polynomials."""
-    return a * b
-
-
-def divrem(a: BinPoly, b: BinPoly):
-    """Quotient and remainder of a by b, with deg r < deg b."""
-    return divmod(a, b)
-
-
 def _clmul(a: int, b: int) -> int:
     if a < b:
         a, b = b, a

@@ -93,19 +93,18 @@ def shift_class_representatives(n: int) -> np.ndarray:
     return np.flatnonzero(least == ids)
 
 
-def ddt_max(table: np.ndarray, n: int, shift_classes: bool = False) -> int:
+def ddt_max(table: np.ndarray, n: int) -> int:
     """Largest entry of the difference distribution table, over nonzero input
-    differences.  With shift_classes=True only one input difference per
-    cyclic-shift class is scanned (row maxima are shift-equivalent for
-    shift-invariant maps)."""
+    differences.
+
+    The table must be shift-invariant, as every table function_table
+    builds is: the row of a rotated difference is then the rotated row,
+    so one difference per cyclic-shift class covers all row maxima.
+    """
     size = 1 << n
     ids = np.arange(size)
-    if shift_classes:
-        a_values = [int(a) for a in shift_class_representatives(n) if a]
-    else:
-        a_values = range(1, size)
     best = 0
-    for a in a_values:
+    for a in shift_class_representatives(n)[1:]:
         diff = (table ^ table[ids ^ a]).astype(np.int64)
         best = max(best, int(np.bincount(diff, minlength=size).max()))
     return best

@@ -143,8 +143,7 @@ def test_criterion_9_differential_uniformity():
         assert not mismatches, (
             f"stated DU values unattained: {mismatches}; at n = 5 the stated 7 is odd, "
             "but difference-table entries pair up as {x, x+a} and are therefore even "
-            "(and kappa is the inverse of chi there, so both share DU 8); "
-            "see notes/decisions.md"
+            "(and kappa is the inverse of chi there, so both share DU 8)"
         )
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from shiftperm import tables
 from shiftperm.analysis import (
     algebraic_degree,
     analyze,
@@ -302,8 +303,10 @@ class TestDifferentialUniformity:
                 assert all(c % 2 == 0 for c in counts.values()), (n, f.mask, a)
 
     def test_shift_class_scan_agrees(self):
-        for f in (kappa(8), chi(9), TAU.at(10)):
-            assert differential_uniformity(f, shift_classes=True) == differential_uniformity(f)
+        # one input difference per cyclic-shift class must give the full scan's maximum
+        for f, n in ((kappa(8), 8), (chi(9), 9), (TAU.at(10), 10)):
+            scal = [evaluate(f, BitVector(n, v)).bits for v in range(1 << n)]
+            assert differential_uniformity(f) == _ddt_max_scalar(scal), (f.mask, n)
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
@@ -374,6 +377,19 @@ class TestAnalyze:
         assert d["degree"] == 3
         assert d["inverse_degree"] == 5
         assert d["differential_uniformity"] == 56
+
+    def test_builds_one_table_per_map(self, monkeypatch):
+        built = []
+        real = tables.function_table
+
+        def counting(mask, n):
+            built.append(mask)
+            return real(mask, n)
+
+        monkeypatch.setattr(tables, "function_table", counting)
+        report = analyze(kappa(8))
+        assert report.algebraic_degree == 3 and report.differential_uniformity == 56
+        assert built == [kappa(8).mask, report.inverse.mask]
 
     def test_non_permutation_report(self):
         report = analyze(chi(6))

@@ -109,6 +109,13 @@ class TestEnumerate:
         _, out2, _ = run(capsys, "enumerate", "--n", "7")
         assert out1 == out2
 
+    def test_bound_exit_3(self, capsys):
+        # the scan walks 2^(deg - 1) masks, deg = n on even n and (n + 1) / 2 on odd n
+        for n in ("22", "41", "20000000"):
+            code, out, err = run(capsys, "enumerate", "--n", n)
+            assert code == 3 and out == ""
+            assert "unit enumeration" in err
+
 
 class TestDu:
     def test_value(self, capsys):

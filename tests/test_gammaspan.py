@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,6 @@ from shiftperm import tables
 from shiftperm.bitstate import BitVector, eval_gamma
 from shiftperm.gammaspan import (
     GammaCombination,
-    canonicalize,
     chi,
     compose,
     compose_oracle,
@@ -33,32 +34,60 @@ def span_masks(n):
     return range(1 << dim)
 
 
+def per_bit_canonical_mask(mask, n):
+    """Reference canonical form, one coefficient at a time: on odd n drop
+    every k with 2k > n, on even n send k >= n/2 to n/2 + (k mod n/2)."""
+    half = n // 2
+    out = 0
+    for k in range(mask.bit_length()):
+        if not (mask >> k) & 1:
+            continue
+        if n % 2 == 0:
+            out ^= 1 << (k if k < half else half + k % half)
+        elif 2 * k <= n:
+            out ^= 1 << k
+    return out
+
+
 class TestCanonicalize:
     def test_even_wrapping(self):
-        c = canonicalize(6, [0, 6])
+        c = GammaCombination.from_indices([0, 6], 6)
         assert c.indices == (0, 3)
 
     def test_even_cancellation(self):
-        assert canonicalize(6, [6, 12]).is_zero
+        assert GammaCombination.from_indices([6, 12], 6).is_zero
 
     def test_odd_vanishing(self):
-        assert canonicalize(7, [4]).is_zero
-        assert canonicalize(7, [0, 4, 2]).indices == (0, 2)
+        assert GammaCombination.from_indices([4], 7).is_zero
+        assert GammaCombination.from_indices([0, 4, 2], 7).indices == (0, 2)
 
     def test_canonical_ranges(self):
         for n in range(1, 12):
             for k in range(3 * n + 2):
-                c = canonicalize(n, [k])
+                c = GammaCombination.from_indices([k], n)
+                assert c.mask == per_bit_canonical_mask(1 << k, n), (n, k)
                 for idx in c.indices:
                     if n % 2:
                         assert 2 * idx <= n
                     else:
                         assert idx < n
 
+    def test_matches_per_bit_rule_on_random_masks(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            n = rng.randrange(1, 200)
+            mask = rng.getrandbits(rng.randrange(1, 8 * n))
+            assert GammaCombination(mask, n).mask == per_bit_canonical_mask(mask, n), (mask, n)
+
+    def test_huge_index(self):
+        # k = 10^7 wraps to 4 + (10^7 mod 4) = 4 on n = 8, without a per-bit walk
+        assert GammaCombination.parse("g20000000", 8) == gamma_term(4, 8)
+        assert GammaCombination.parse("g20000000", 9).is_zero
+
     def test_canonicalization_preserves_function(self):
         for n in range(1, 9):
             for k in range(2 * n + 2):
-                c = canonicalize(n, [k])
+                c = GammaCombination.from_indices([k], n)
                 for v in range(1 << n):
                     x = BitVector(n, v)
                     assert evaluate(c, x) == eval_gamma(k, x), (n, k, v)

@@ -3,7 +3,8 @@
 A combination sum(a_k gamma(2k)) corresponds to the residue of
 sum(a_k X^k) modulo X^((n+1)/2) (odd n) or X^n + X^(n/2) (even n).
 Composition of maps is multiplication there, bijectivity is being a
-unit, and inverting a map is an extended-Euclid computation.
+unit, and inverting a map is a Newton lifting of the inverse modulo the
+parts X^(n/2) and (X^m + 1)^(2^(s-1)) of the modulus (n = 2^s m, m odd).
 """
 
 import numpy as np

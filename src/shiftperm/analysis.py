@@ -30,7 +30,7 @@ from . import poly2, tables
 from .bitstate import BitVector
 from .gammaspan import GammaCombination, phi, psi
 from .poly2 import BinPoly, ONE, X, ZERO, find_irreducible_of_order, x_power
-from .ring import Modulus, ring_inverse
+from .ring import Modulus, odd_part_gcd, ring_inverse
 from .tables import ANF_LIMIT, BIJECTIVITY_LIMIT, DU_LIMIT
 
 __all__ = [
@@ -82,8 +82,7 @@ def is_permutation(f: GammaCombination, n: int | None = None):
         raise ValueError("permutation criterion applies to combinations containing gamma(0)")
     if g.n % 2:
         return True, ONE
-    m = Modulus(g.n).odd_part
-    witness = poly2.gcd(g.poly(), x_power(m) + ONE)
+    witness = odd_part_gcd(g.poly(), Modulus(g.n))
     return witness == ONE, witness
 
 
@@ -290,6 +289,8 @@ def analyze(
     exact at any dimension.
     """
     g = _bind(f, n)
+    tables.check_ceiling(anf_limit, "ANF transform")
+    tables.check_ceiling(du_limit, "difference distribution scan")
     ok, witness = is_permutation(g)
     inv = inverse(g) if ok else None
     deg = inv_deg = du = None

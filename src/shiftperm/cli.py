@@ -200,8 +200,8 @@ def _run_table1(args) -> int:
     rows = []
     for n in TABLE1_DIMENSIONS:
         closed = analysis.kappa_inverse_closed_form(n)
-        euclid = ring.ring_inverse(phi(GammaCombination(0b111, n))).rep
-        assert closed == euclid, f"closed form disagrees with Euclid at n={n}"
+        lifted = ring.ring_inverse(phi(GammaCombination(0b111, n))).rep
+        assert closed == lifted, f"closed form disagrees with the ring inverse at n={n}"
         rows.append((n, closed.to_string()))
     if args.json:
         print(json.dumps({"rows": [{"n": n, "coefficients": s} for n, s in rows]}, indent=2))

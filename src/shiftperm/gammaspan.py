@@ -21,26 +21,7 @@ from __future__ import annotations
 from . import tables
 from .bitstate import BitVector, eval_gamma
 from .poly2 import BinPoly
-from .ring import Modulus, RingElement, reduce, ring_mul
-
-
-def _xor_fold(x: int, width: int) -> int:
-    """XOR of the width-bit chunks of x, folding at doubling multiples of width."""
-    while x >> width:
-        w = width
-        while 2 * w < x.bit_length():
-            w *= 2
-        x = (x & ((1 << w) - 1)) ^ (x >> w)
-    return x
-
-
-def _canonical_mask(mask: int, n) -> int:
-    if n is None:
-        return mask
-    if n % 2:
-        return mask & ((1 << (n // 2 + 1)) - 1)
-    half = n // 2
-    return (mask & ((1 << half) - 1)) ^ (_xor_fold(mask >> half, half) << half)
+from .ring import Modulus, RingElement, reduce, reduce_bits, ring_mul
 
 
 class GammaCombination:
@@ -53,7 +34,7 @@ class GammaCombination:
             raise ValueError("coefficient mask must be nonnegative")
         if n is not None and n < 1:
             raise ValueError("dimension must be at least 1")
-        self.mask = _canonical_mask(mask, n)
+        self.mask = mask if n is None else reduce_bits(mask, n)
         self.n = n
 
     @classmethod
@@ -93,7 +74,7 @@ class GammaCombination:
     @property
     def indices(self) -> tuple:
         """The k-indices with coefficient 1, ascending."""
-        return tuple(k for k in range(self.mask.bit_length()) if (self.mask >> k) & 1)
+        return self.poly().exponents()
 
     @property
     def in_monoid(self) -> bool:

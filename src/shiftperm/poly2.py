@@ -93,13 +93,12 @@ class BinPoly:
         return self.bits.bit_count()
 
     def exponents(self) -> tuple:
-        return tuple(i for i in range(self.bits.bit_length()) if (self.bits >> i) & 1)
+        """Exponents of the nonzero terms, ascending."""
+        return tuple(i for i, c in enumerate(self.to_string()) if c == "1")
 
     def to_string(self) -> str:
         """Binary coefficient string, character i = coefficient of X^i."""
-        if self.bits == 0:
-            return "0"
-        return "".join(str((self.bits >> i) & 1) for i in range(self.degree + 1))
+        return format(self.bits, "b")[::-1]
 
     def derivative(self) -> "BinPoly":
         """Formal derivative; in characteristic 2 only odd-exponent terms survive."""
@@ -112,13 +111,10 @@ class BinPoly:
 
     def sqrt(self) -> "BinPoly":
         """Square root of a perfect square (all exponents even)."""
-        out = 0
-        for i in range(self.bits.bit_length()):
-            if (self.bits >> i) & 1:
-                if i % 2:
-                    raise ValueError("polynomial is not a perfect square")
-                out |= 1 << (i // 2)
-        return BinPoly(out)
+        coeffs = self.to_string()
+        if "1" in coeffs[1::2]:
+            raise ValueError("polynomial is not a perfect square")
+        return BinPoly(int(coeffs[::2][::-1], 2))
 
     def __bool__(self):
         return self.bits != 0
@@ -186,16 +182,36 @@ def x_power(k: int) -> BinPoly:
     return BinPoly(1 << k)
 
 
+_WINDOW_MIN_BITS = 256  # multiplier length from which the byte table pays for itself
+
+
 def _clmul(a: int, b: int) -> int:
+    """Carry-less product.  A short multiplier is taken bit by bit; a long
+    one a byte per step, from a table of the 256 multiples of the other
+    operand by the polynomials of degree below 8."""
     if a < b:
         a, b = b, a
+    if b.bit_length() < _WINDOW_MIN_BITS:
+        c = 0
+        while b:
+            if b & 1:
+                c ^= a
+            a <<= 1
+            b >>= 1
+        return c
+    table = [0]
+    for i in range(8):
+        shifted = a << i
+        table += [t ^ shifted for t in table]
     c = 0
-    while b:
-        if b & 1:
-            c ^= a
-        a <<= 1
-        b >>= 1
+    for byte in b.to_bytes((b.bit_length() + 7) // 8, "big"):
+        c = (c << 8) ^ table[byte]
     return c
+
+
+def _square(a: int) -> int:
+    """Carry-less square: bit i moves to bit 2i (squaring is linear over GF(2))."""
+    return int("0".join(format(a, "b")), 2)
 
 
 def _divmod_bits(a: int, b: int):

@@ -7,9 +7,23 @@ For dimension n the modulus polynomial is
 
 and RingElement holds the fully reduced representative of a coset.
 Multiplication of residues corresponds to composition of the associated
-maps on F_2^n; units correspond to the bijective ones.  Inverses come
-from the extended Euclidean algorithm; a failed inversion raises
-NonUnitError carrying the offending gcd as a witness.
+maps on F_2^n; units correspond to the bijective ones.
+
+The arithmetic uses the shape of the modulus.  With h = n/2 and
+n = 2^s * m (m odd), the even modulus splits into the coprime parts
+
+    X^h * (X^h + 1),   X^h + 1 = (X^m + 1)^(2^(s-1)),
+
+so reduction is a fold: the bits from h upward are XOR-folded mod
+X^h + 1, where X^h = 1; the odd modulus is a mask.  A unit is a
+representative with constant term 1 that, on even n, is coprime to
+X^m + 1.  Its inverse is lifted by Newton's iteration u <- f u^2, which
+squares the modulus the congruence f u = 1 holds for: from mod X to
+mod X^h (or X^((n+1)/2) on odd n), and, on even n, from the inverse mod
+X^m + 1, which the extended Euclidean algorithm finds on m-bit
+operands, to mod X^h + 1.  The Chinese remainder theorem joins the two
+halves.  A failed inversion raises NonUnitError carrying the gcd of the
+representative and the modulus as a witness.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly2
-from .poly2 import BinPoly, Factorization, ONE, X, x_power
+from .poly2 import BinPoly, Factorization, ONE, X, _clmul, _square, x_power
 
 
 class NonUnitError(ValueError):
@@ -85,9 +99,28 @@ class RingElement:
         return f"[{self.rep}] mod {self.modulus.poly}"
 
 
+def _fold(a: int, width: int) -> int:
+    """a mod X^width + 1: XOR-fold at doubling multiples w of width, where X^w = 1."""
+    while a >> width:
+        w = width
+        while 2 * w < a.bit_length():
+            w *= 2
+        a = (a & ((1 << w) - 1)) ^ (a >> w)
+    return a
+
+
+def reduce_bits(a: int, n: int) -> int:
+    """a mod the modulus for dimension n, on bit masks: the low (n+1)/2
+    bits on odd n; on even n the bits from h = n/2 upward fold mod X^h + 1."""
+    if n % 2:
+        return a & ((1 << (n + 1) // 2) - 1)
+    h = n // 2
+    return (a & ((1 << h) - 1)) ^ (_fold(a >> h, h) << h)
+
+
 def reduce(f: BinPoly, mod: Modulus) -> RingElement:
     """Canonical representative of the coset of f."""
-    return RingElement(mod, f % mod.poly)
+    return RingElement(mod, BinPoly(reduce_bits(f.bits, mod.n)))
 
 
 def ring_one(mod: Modulus) -> RingElement:
@@ -101,19 +134,57 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     return reduce(a.rep * b.rep, a.modulus)
 
 
+def odd_part_gcd(f: BinPoly, mod: Modulus) -> BinPoly:
+    """gcd(f, X^m + 1) for the odd part m of n, from f folded mod X^m + 1.
+
+    On even n a polynomial with constant term 1 is a unit modulo the
+    modulus iff this gcd is 1.
+    """
+    m = mod.odd_part
+    return poly2.gcd(BinPoly(_fold(f.bits, m)), x_power(m) + ONE)
+
+
 def is_unit(a: RingElement) -> bool:
     """True iff the representative is coprime to the modulus."""
-    return poly2.gcd(a.rep, a.modulus.poly) == ONE
+    return a.rep.constant_term == 1 and (
+        a.modulus.n % 2 == 1 or odd_part_gcd(a.rep, a.modulus) == ONE
+    )
+
+
+def _inverse_mod_x_power(f: int, k: int) -> int:
+    """Inverse mod X^k of f with constant term 1, by u <- f u^2 mod X^(2j)."""
+    u, j = 1, 1
+    while j < k:
+        j = min(2 * j, k)
+        low = (1 << j) - 1
+        u = _clmul(f & low, _square(u)) & low
+    return u
 
 
 def ring_inverse(a: RingElement) -> RingElement:
-    """Multiplicative inverse of a unit, via the extended Euclidean algorithm."""
-    g, u, _ = poly2.ext_gcd(a.rep, a.modulus.poly)
+    """Multiplicative inverse of a unit, lifted from its inverses modulo the
+    coprime parts of the modulus (see the module docstring)."""
+    mod, f = a.modulus, a.rep.bits
+    if not f & 1:
+        raise _non_unit(a, poly2.gcd(a.rep, mod.poly))
+    if mod.n % 2:
+        return RingElement(mod, BinPoly(_inverse_mod_x_power(f, mod.degree)))
+    h, m = mod.n // 2, mod.odd_part
+    g, u, _ = poly2.ext_gcd(BinPoly(_fold(f, m)), x_power(m) + ONE)
     if g != ONE:
-        raise NonUnitError(
-            g, f"[{a.rep}] is not a unit modulo {a.modulus.poly}: gcd = {g}"
-        )
-    return reduce(u, a.modulus)
+        # f is coprime to X^h, so gcd(f, modulus) = gcd(f, X^h + 1)
+        raise _non_unit(a, poly2.gcd(BinPoly(_fold(f, h)), x_power(h) + ONE))
+    hi, w = u.bits, m
+    while w < h:
+        w *= 2
+        hi = _fold(_clmul(_fold(f, w), _square(hi)), w)
+    lo = _inverse_mod_x_power(f, h)
+    # lo + X^h t = hi mod X^h + 1, where X^h = 1, gives t = lo + hi
+    return RingElement(mod, BinPoly(lo ^ ((lo ^ hi) << h)))
+
+
+def _non_unit(a: RingElement, g: BinPoly) -> NonUnitError:
+    return NonUnitError(g, f"[{a.rep}] is not a unit modulo {a.modulus.poly}: gcd = {g}")
 
 
 def modulus_factorization(mod: Modulus) -> Factorization:

@@ -22,7 +22,16 @@ class BoundExceededError(ValueError):
     """An exhaustive scan would exceed its configured size limit."""
 
 
+def check_ceiling(limit: int, what: str) -> None:
+    """A scan limit may not exceed BIJECTIVITY_LIMIT, which bounds every table."""
+    if limit > BIJECTIVITY_LIMIT:
+        raise BoundExceededError(
+            f"{what} limit n <= {limit} exceeds the ceiling n <= {BIJECTIVITY_LIMIT}"
+        )
+
+
 def check_limit(n: int, limit: int, what: str) -> None:
+    check_ceiling(limit, what)
     if n > limit:
         raise BoundExceededError(f"{what} over F_2^{n} exceeds the limit n <= {limit}")
 

@@ -53,6 +53,14 @@ class TestAnalyze:
         assert d["degree"] is None and d["differential_uniformity"] is None
         assert d["is_permutation"] is True
 
+    def test_limit_above_ceiling_exit_3(self, capsys):
+        # a 2^30-entry uint64 table would take 8 GiB
+        code, out, err = run(capsys, "analyze", "--n", "30", "--f", "g0+g2", "--max-bruteforce", "30")
+        assert (code, out) == (3, "")
+        assert "ceiling n <= 20" in err
+        code, _, err = run(capsys, "analyze", "--n", "8", "--f", "g0+g2", "--max-du", "21")
+        assert code == 3 and "ceiling" in err
+
 
 class TestInvert:
     def test_success(self, capsys):
@@ -127,6 +135,11 @@ class TestDu:
         code, _, err = run(capsys, "du", "--n", "18", "--f", "0,1,2")
         assert code == 3
         assert "limit" in err
+
+    def test_limit_above_ceiling_exit_3(self, capsys):
+        code, out, err = run(capsys, "du", "--n", "6", "--f", "0,1,2", "--max-du", "21")
+        assert (code, out) == (3, "")
+        assert "ceiling n <= 20" in err
 
 
 class TestTable1:

@@ -79,6 +79,15 @@ class TestCanonicalize:
             mask = rng.getrandbits(rng.randrange(1, 8 * n))
             assert GammaCombination(mask, n).mask == per_bit_canonical_mask(mask, n), (mask, n)
 
+    def test_indices_match_per_bit_reference(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            mask = rng.getrandbits(rng.randrange(0, 300))
+            expected = tuple(k for k in range(mask.bit_length()) if (mask >> k) & 1)
+            assert GammaCombination(mask).indices == expected
+        exps = sorted(rng.sample(range(200_000), 3000))
+        assert GammaCombination.from_indices(exps).indices == tuple(exps)
+
     def test_huge_index(self):
         # k = 10^7 wraps to 4 + (10^7 mod 4) = 4 on n = 8, without a per-bit walk
         assert GammaCombination.parse("g20000000", 8) == gamma_term(4, 8)

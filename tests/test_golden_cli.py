@@ -1,9 +1,9 @@
 """Replay of a recorded CLI corpus: every verb over a fixed input grid.
 
 Each case in golden/cli_corpus.json holds an argument list, its exit
-code and its byte-exact stdout, in text and in --json form.  The corpus
-pins the output contract across refactors; regenerate it only for a
-deliberate change of that contract, with
+code and its byte-exact stdout and stderr, in text and in --json form.
+The corpus pins the output contract across refactors; regenerate it only
+for a deliberate change of that contract, with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -48,14 +48,19 @@ GRID = [
     ["realize", "--targets", "4"],
     ["du", "--n", "15", "--f", "g0+g2+g4"],
     ["analyze", "--n", "8", "--f", "g1"],
+    ["invert", "--n", "2002", "--f", "g0+g2+g4"],
+    ["invert", "--n", "4096", "--f", "g0+g2+g4"],
+    ["invert", "--n", "1001", "--f", "g0+g2+g4"],
+    ["invert", "--n", "1000", "--f", "g0+g8+g10+g18"],
+    ["compose", "--f", "g2+g1998", "--g", "g0+g1994+g1998", "--n", "1000"],
 ]
 
 
 def run_case(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def cases():
@@ -68,14 +73,14 @@ def test_corpus_replays_byte_identically():
     recorded = json.loads(CORPUS.read_text())
     assert [c["argv"] for c in recorded] == list(cases())
     for case in recorded:
-        code, out = run_case(case["argv"])
-        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+        got = run_case(case["argv"])
+        assert got == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
 
 
 if __name__ == "__main__":
     corpus = []
     for argv in cases():
-        code, out = run_case(argv)
-        corpus.append({"argv": argv, "exit": code, "stdout": out})
+        code, out, err = run_case(argv)
+        corpus.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from shiftperm import poly2
 from shiftperm.poly2 import (
     ONE,
     X,
@@ -49,6 +52,28 @@ class TestRepresentation:
     def test_duplicate_exponents_cancel(self):
         assert BinPoly.from_exponents([2, 2]) == ZERO
 
+    def test_bit_views_match_per_bit_reference(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            f = BinPoly(rng.getrandbits(rng.randrange(0, 300)))
+            per_bit = [(f.bits >> i) & 1 for i in range(max(f.bits.bit_length(), 1))]
+            assert f.exponents() == tuple(i for i, c in enumerate(per_bit) if c)
+            assert f.to_string() == "".join(map(str, per_bit))
+            square = BinPoly(sum(1 << (2 * i) for i in f.exponents()))
+            assert square.sqrt() == f
+            if f.bits > 1:
+                with pytest.raises(ValueError):
+                    (square + BinPoly(1 << (2 * rng.randrange(f.degree) + 1))).sqrt()
+
+    def test_bit_views_at_200000_bits(self):
+        # the reference is built from the exponents, since a per-bit walk is quadratic
+        exps = sorted(random.Random(6).sample(range(200_000), 5000)) + [200_000]
+        f = BinPoly.from_exponents(exps)
+        assert f.exponents() == tuple(exps)
+        s = f.to_string()
+        assert len(s) == 200_001 and s.count("1") == len(exps) and s[exps[17]] == "1"
+        assert BinPoly.from_exponents(2 * e for e in exps).sqrt() == f
+
 
 class TestArithmetic:
     def test_product_example(self):
@@ -56,6 +81,23 @@ class TestArithmetic:
 
     def test_frobenius_square(self):
         assert P("11") ** 2 == P("101")
+
+    def test_clmul_matches_shift_and_add_around_window(self):
+        def shift_and_add(a, b):
+            out = 0
+            for i in range(b.bit_length()):
+                if (b >> i) & 1:
+                    out ^= a << i
+            return out
+
+        rng = random.Random(7)
+        w = poly2._WINDOW_MIN_BITS
+        lengths = (1, 8, 9, w - 1, w, w + 1, w + 8, 3 * w, 4000)
+        for la in lengths:
+            for lb in lengths:
+                a, b = rng.getrandbits(la) | (1 << (la - 1)), rng.getrandbits(lb) | (1 << (lb - 1))
+                assert poly2._clmul(a, b) == shift_and_add(a, b), (la, lb)
+        assert poly2._clmul(0, rng.getrandbits(2 * w)) == 0
 
     def test_shift_multiplies_by_monomial(self):
         assert (P("11") << 2) == P("0011")

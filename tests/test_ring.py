@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from shiftperm import poly2
@@ -16,6 +18,9 @@ from shiftperm.ring import (
 )
 
 P = BinPoly.parse
+
+# every 2-adic exponent s = 0..5 below 65, and large n with s = 3, 0, 1, 3
+FOLD_DIMENSIONS = list(range(1, 65)) + [1000, 1001, 2002, 5144]
 
 
 class TestModulus:
@@ -128,6 +133,40 @@ class TestUnits:
         with pytest.raises(NonUnitError) as info:
             ring_inverse(reduce(P("11"), Modulus(6)))
         assert info.value.witness == P("11")
+
+
+class TestFoldedArithmetic:
+    """The folded reduction and the lifted inverse against division and
+    extended Euclid on the full modulus."""
+
+    def test_reduce_matches_division(self):
+        rng = random.Random(21)
+        for n in FOLD_DIMENSIONS:
+            mod = Modulus(n)
+            for length in (0, 1, n // 2, n, n + 1, 2 * n, 3 * n):
+                f = BinPoly(rng.getrandbits(length))
+                assert reduce(f, mod).rep == f % mod.poly, (n, length)
+
+    def test_inverse_matches_euclid(self):
+        rng = random.Random(22)
+        for n in FOLD_DIMENSIONS:
+            mod = Modulus(n)
+            for constant in (0, 1):
+                for j in range(6):
+                    f = BinPoly(rng.getrandbits(mod.degree) & ~1 | constant)
+                    # a factor (1 + X)^e, 0 < e < 2^(s+1), gives non-units of every multiplicity
+                    e = rng.randrange(1, 2 << mod.two_adic) if j % 2 else 0
+                    f = f * P("11") ** e % mod.poly
+                    g, u, _ = poly2.ext_gcd(f, mod.poly)
+                    el = RingElement(mod, f)
+                    if g == ONE:
+                        assert ring_inverse(el).rep == u % mod.poly, (n, f)
+                        assert is_unit(el)
+                    else:
+                        with pytest.raises(NonUnitError) as info:
+                            ring_inverse(el)
+                        assert info.value.witness == poly2.gcd(f, mod.poly), (n, f)
+                        assert not is_unit(el)
 
 
 class TestModulusFactorization:

@@ -24,14 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
 from . import poly2, tables
 from .bitstate import BitVector
 from .gammaspan import GammaCombination, phi, psi
 from .poly2 import BinPoly, ONE, X, ZERO, find_irreducible_of_order, x_power
 from .ring import Modulus, odd_part_gcd, ring_inverse
-from .tables import ANF_LIMIT, BIJECTIVITY_LIMIT, DU_LIMIT
+from .tables import ANF_LIMIT, BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT, BoundExceededError
+
+# realize_xi searches irreducibles of degree <= 128, where factoring
+# 2^d - 1 takes seconds at most (d = 101), and all but the largest of
+# degree <= 16: xi of the product trial-divides up to the second largest
+REALIZE_DEGREE_LIMIT = 128
+REALIZE_COFACTOR_DEGREE_LIMIT = 16
 
 __all__ = [
     "AnalysisReport",
@@ -131,7 +135,10 @@ def xi_upper_bound(f) -> frozenset:
         raise ValueError("xi applies to combinations containing gamma(0)")
     out = set()
     for d in {g.degree for g in poly2.factor(F).distinct()}:
-        out.update(2 * l for l in sympy.divisors((1 << d) - 1))
+        divisors = [1]
+        for p, e in poly2.factor_int((1 << d) - 1).items():
+            divisors = [q * p**k for q in divisors for k in range(e + 1)]
+        out.update(2 * l for l in divisors)
     return frozenset(out)
 
 
@@ -143,12 +150,24 @@ def inv_membership(f, n: int) -> bool:
 
 
 def realize_xi(targets) -> GammaCombination:
-    """A formal combination whose xi equals the given set of doubled odd numbers."""
-    F = ONE
+    """A formal combination whose xi equals the given set of doubled odd numbers.
+
+    Target 2u needs an irreducible of degree ord_u(2); the degrees are
+    checked against the REALIZE_* limits before any search.
+    """
+    degrees = {}
     for t in sorted(set(targets)):
         if t < 2 or t % 2 or (t // 2) % 2 == 0:
             raise ValueError(f"target {t} is not twice an odd number")
-        F = F * find_irreducible_of_order(t // 2)
+        u = t // 2
+        degrees[u] = next((d for d in range(1, REALIZE_DEGREE_LIMIT + 1) if pow(2, d, u) == 1 % u), None)
+        if degrees[u] is None:
+            raise BoundExceededError(f"target {t} needs the degree ord_{u}(2) > {REALIZE_DEGREE_LIMIT}")
+    if len(degrees) > 1 and sorted(degrees.values())[-2] > REALIZE_COFACTOR_DEGREE_LIMIT:
+        raise BoundExceededError(f"targets need two irreducibles of degree > {REALIZE_COFACTOR_DEGREE_LIMIT}")
+    F = ONE
+    for u in degrees:
+        F = F * find_irreducible_of_order(u)
     return GammaCombination(F.bits, None)
 
 
@@ -170,6 +189,7 @@ def differential_uniformity(f: GammaCombination, n: int | None = None, limit: in
     difference per cyclic-shift class (exact for these shift-invariant maps)."""
     g = _bind(f, n)
     tables.check_limit(g.n, limit, "difference distribution scan")
+    tables.check_limit(g.n, DU_CEILING, "difference distribution scan")
     return tables.ddt_max(tables.function_table(g.mask, g.n), g.n)
 
 
@@ -291,6 +311,8 @@ def analyze(
     g = _bind(f, n)
     tables.check_ceiling(anf_limit, "ANF transform")
     tables.check_ceiling(du_limit, "difference distribution scan")
+    if g.n <= du_limit:
+        tables.check_limit(g.n, DU_CEILING, "difference distribution scan")
     ok, witness = is_permutation(g)
     inv = inverse(g) if ok else None
     deg = inv_deg = du = None

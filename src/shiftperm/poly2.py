@@ -11,6 +11,11 @@ irreducibles, the multiplicative order of a polynomial (the least l
 with f dividing X^l + 1), and a deterministic search for an irreducible
 polynomial of prescribed order.
 
+Orders need the primes of 2^d - 1, which factor_int finds: it splits
+2^d - 1 into the cyclotomic values Phi_e(2), e | d, trial-divides by the
+primes below 256 and splits the rest by Brent's Pollard rho.  Primality
+is Baillie-PSW, exact below 2^64 with no known counterexample above.
+
 Two text forms are accepted everywhere downstream: a binary string
 whose i-th character (left to right) is the coefficient of X^i, e.g.
 "111" for 1 + X + X^2, and a comma-separated exponent list, e.g.
@@ -20,10 +25,9 @@ whose i-th character (left to right) is the coefficient of X^i, e.g.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from math import lcm
-
-import sympy
+from math import gcd as int_gcd, isqrt, lcm, prod
 
 
 class BinPoly:
@@ -289,7 +293,7 @@ def is_irreducible(f: BinPoly) -> bool:
     if d == 1:
         return True
     fb = f.bits
-    for p in sympy.primefactors(d):
+    for p in factor_int(d):
         if _gcd_bits(_x_pow_2k_mod(d // p, fb) ^ 2, fb) != 1:
             return False
     return _x_pow_2k_mod(d, fb) == 2
@@ -387,12 +391,122 @@ def _split_squarefree(wb: int) -> list:
     return out
 
 
+_SMALL_PRIMES = [p for p in range(2, 256) if all(p % q for q in range(2, p))]
+
+
+def _jacobi(a: int, n: int) -> int:
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd non-square n, with
+    Selfridge's parameters: P = 1, D the first of 5, -7, 9, ... with
+    Jacobi symbol (D/n) = -1, and Q = (1 - D)/4."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else 2 - D
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2^s, d odd
+    Q, half = (1 - D) // 4 % n, (n + 1) // 2  # half = 1/2 mod n
+    U, V, Qk = 1, 1, Q  # U_k, V_k, Q^k for k = 1, then k = d
+    for bit in format((n + 1) >> s, "b")[1:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    found = U == 0
+    for _ in range(s):  # V_{d 2^r} for r < s
+        found = found or V == 0
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return found
+
+
+def is_prime(n: int) -> bool:
+    """Baillie-PSW: trial division by the primes below 256, a strong
+    base-2 Miller-Rabin test, then a strong Lucas test."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 256 * 256:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and n - 1 not in [pow(x, 1 << r, n) for r in range(s)]:
+        return False
+    return isqrt(n) ** 2 != n and _strong_lucas(n)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n: Brent's variant of Pollard
+    rho, with gcds batched over 128 steps, y_0 = 2 and c = 1, 2, ...."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := int_gcd(q, n)) != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = int_gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factor_int(n: int) -> dict:
+    """Prime factorization {p: multiplicity} of a positive integer, p ascending."""
+    if n < 1:
+        raise ValueError("only positive integers are factored")
+    stack = [n]
+    if n & (n + 1) == 0:  # 2^d - 1: split into Phi_e(2), e | d, by exact division
+        d, phis = n.bit_length(), {}
+        for e in (e for e in range(1, d + 1) if d % e == 0):
+            phis[e] = ((1 << e) - 1) // prod(v for f, v in phis.items() if e % f == 0)
+        stack = list(phis.values())
+    counts: dict = {}
+    while stack:
+        m = stack.pop()
+        for p in _SMALL_PRIMES:
+            if p * p > m:
+                break
+            while m % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                m //= p
+        if m > 1 and is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        elif m > 1:
+            f = _rho(m)
+            stack += [f, m // f]
+    return dict(sorted(counts.items()))
+
+
 def _irreducible_order(g: BinPoly) -> int:
     d = g.degree
     if d == 1:
         return 1  # the only irreducible with constant term 1 is 1+X
     t = (1 << d) - 1
-    for p in sympy.factorint(t):
+    for p in factor_int(t):
         while t % p == 0 and _powmod_bits(2, t // p, g.bits) == 1:
             t //= p
     return t
@@ -431,7 +545,7 @@ def find_irreducible_of_order(t: int) -> BinPoly:
     if t == 1:
         return BinPoly(0b11)
     d = 1
-    while ((1 << d) - 1) % t:
+    while pow(2, d, t) != 1:
         d += 1
     if d <= _ENUMERATION_DEGREE:
         for g in irreducible_polys(d):
@@ -452,7 +566,7 @@ def _minimal_poly_of_order(t: int, d: int) -> BinPoly:
     """Minimal polynomial of an order-t element of F_{2^d} = F_2[Y]/(p)."""
     p = _smallest_irreducible(d)
     cofactor = ((1 << d) - 1) // t
-    primes = sympy.primefactors(t)
+    primes = [q for q in factor_int((1 << d) - 1) if t % q == 0]
     alpha = 0
     for gen in range(2, 1 << d):
         cand = _powmod_bits(gen, cofactor, p)

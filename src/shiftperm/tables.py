@@ -16,6 +16,7 @@ BIJECTIVITY_LIMIT = 20
 ORACLE_LIMIT = 16
 ANF_LIMIT = 16
 DU_LIMIT = 14
+DU_CEILING = 16  # largest n for any DDT scan: kappa takes 5 s at n = 16, 84 s at 18
 
 
 class BoundExceededError(ValueError):

@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftperm.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -141,6 +151,12 @@ class TestDu:
         assert (code, out) == (3, "")
         assert "ceiling n <= 20" in err
 
+    def test_scan_above_du_ceiling_exit_3(self, capsys):
+        code, out, err = run(capsys, "du", "--n", "17", "--f", "0,1,2", "--max-du", "17")
+        assert (code, out) == (3, "") and "n <= 16" in err
+        code, out, err = run(capsys, "analyze", "--n", "18", "--f", "0,1,2", "--max-du", "18")
+        assert (code, out) == (3, "") and "n <= 16" in err
+
 
 class TestTable1:
     def test_rows(self, capsys):
@@ -173,6 +189,19 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "--targets", "4")
         assert code == 2 and "twice an odd number" in err
 
+    def test_degree_above_ceiling_exit_3(self, capsys):
+        # ord_10007(2) = 5003 and ord_1003(2) = 232; u near 10^12 is checked as fast
+        for targets in ("20014", "2006", "6,2000000000022"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "realize", "--targets", targets)
+            assert (code, out) == (3, ""), targets
+            assert "degree" in err and time.perf_counter() - start < 1, targets
+
+    def test_two_large_factors_exit_3(self, capsys):
+        # degrees 20 and 21: xi of the product would trial-divide up to degree 20
+        code, out, err = run(capsys, "realize", "--targets", "82,674")
+        assert (code, out) == (3, "") and "two irreducibles" in err
+
 
 class TestParsing:
     def test_bad_operand_exit_2(self, capsys):
@@ -189,3 +218,85 @@ class TestParsing:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+def test_import_leaves_sympy_out():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run(
+        [sys.executable, "-c", "import shiftperm, sys; assert 'sympy' not in sys.modules"],
+        env=env, check=True,
+    )
+
+
+# Operands of degree <= 24, so that trial-division factoring stays cheap;
+# dimensions and scan limits run past every limit and ceiling.
+_junk = st.text("g0123456789+,- x", max_size=8)
+_head = st.sampled_from([[], [0]])  # half the operands contain gamma(0)
+_index = st.one_of(st.integers(0, 24).map(lambda k: 2 * k), st.integers(0, 49))
+_gamma = st.builds(
+    lambda h, ks: "+".join(f"g{k}" for k in h + ks), _head, st.lists(_index, min_size=1, max_size=5)
+)
+_klist = st.builds(
+    lambda h, ks: ",".join(map(str, h + ks)), _head, st.lists(st.integers(0, 24), min_size=1, max_size=5)
+)
+_bits = st.builds(lambda h, t: "1" * len(h) + t, _head, st.text("01", max_size=24))
+_dim = st.integers(-2, 24).map(str)
+_int = st.one_of(_dim, _dim, _dim, _junk)  # malformed one time in four
+_target = st.one_of(st.integers(0, 1 << 13).map(lambda u: 4 * u + 2), st.integers(-4, 1 << 14))
+
+
+@st.composite
+def _argv(draw):
+    def operand(flag=None):
+        flag = flag or draw(st.sampled_from(["--f", "--poly"]))
+        if flag == "--f":
+            return [flag, draw(st.one_of(_gamma, _gamma, _klist, _bits, _junk))]
+        return [flag, draw(st.one_of(_klist, _bits, _junk))]
+
+    def optional(*args):
+        return list(args) if draw(st.booleans()) else []
+
+    verb = draw(st.sampled_from(["analyze", "invert", "compose", "xi", "enumerate", "du", "table1", "realize"]))
+    if verb == "analyze":
+        argv = ["--n", draw(_int)] + operand()
+        argv += optional("--max-bruteforce", draw(_int)) + optional("--max-du", draw(_int))
+    elif verb in ("invert", "du"):
+        argv = ["--n", draw(_int)] + operand()
+        argv += optional("--max-du", draw(_int)) if verb == "du" else []
+    elif verb == "compose":
+        argv = operand() + ["--g", operand("--f")[1]] + optional("--n", draw(_int))
+    elif verb == "xi":
+        argv = operand()
+    elif verb == "enumerate":
+        argv = ["--n", draw(_int)]
+    elif verb == "table1":
+        argv = []
+    else:
+        targets = st.lists(_target.map(str), min_size=1, max_size=3).map(",".join)
+        argv = ["--targets", draw(targets | _junk)]
+    return [verb] + argv + optional("--json")
+
+
+CASE_BUDGET_S = 30
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(_argv())
+def test_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert elapsed < CASE_BUDGET_S, (argv, elapsed)
+    if code == 0 and "--json" in argv:
+        json.loads(out.getvalue())
+    elif code:
+        assert err.getvalue() and (code == 2 or not out.getvalue()), argv

@@ -53,6 +53,11 @@ GRID = [
     ["invert", "--n", "1001", "--f", "g0+g2+g4"],
     ["invert", "--n", "1000", "--f", "g0+g8+g10+g18"],
     ["compose", "--f", "g2+g1998", "--g", "g0+g1994+g1998", "--n", "1000"],
+    ["realize", "--targets", "16382"],
+    ["realize", "--targets", "131074"],
+    ["xi", "--poly", "0,1,2,5,61"],
+    ["xi", "--poly", "0,3,5,6,62"],
+    ["xi", "--poly", "0,1,2,5,67"],
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,10 +12,12 @@ from shiftperm.poly2 import (
     BinPoly,
     ext_gcd,
     factor,
+    factor_int,
     find_irreducible_of_order,
     gcd,
     irreducible_polys,
     is_irreducible,
+    is_prime,
     order,
     x_power,
 )
@@ -297,6 +300,187 @@ class TestFindIrreducibleOfOrder:
     def test_even_rejected(self):
         with pytest.raises(ValueError):
             find_irreducible_of_order(6)
+
+
+# The prime factorization of 2^d - 1 for d <= 96, as sympy.factorint
+# printed it (p^e for multiplicity e > 1).
+MERSENNE_FACTORS = {
+    1: "",
+    2: "3",
+    3: "7",
+    4: "3 5",
+    5: "31",
+    6: "3^2 7",
+    7: "127",
+    8: "3 5 17",
+    9: "7 73",
+    10: "3 11 31",
+    11: "23 89",
+    12: "3^2 5 7 13",
+    13: "8191",
+    14: "3 43 127",
+    15: "7 31 151",
+    16: "3 5 17 257",
+    17: "131071",
+    18: "3^3 7 19 73",
+    19: "524287",
+    20: "3 5^2 11 31 41",
+    21: "7^2 127 337",
+    22: "3 23 89 683",
+    23: "47 178481",
+    24: "3^2 5 7 13 17 241",
+    25: "31 601 1801",
+    26: "3 2731 8191",
+    27: "7 73 262657",
+    28: "3 5 29 43 113 127",
+    29: "233 1103 2089",
+    30: "3^2 7 11 31 151 331",
+    31: "2147483647",
+    32: "3 5 17 257 65537",
+    33: "7 23 89 599479",
+    34: "3 43691 131071",
+    35: "31 71 127 122921",
+    36: "3^3 5 7 13 19 37 73 109",
+    37: "223 616318177",
+    38: "3 174763 524287",
+    39: "7 79 8191 121369",
+    40: "3 5^2 11 17 31 41 61681",
+    41: "13367 164511353",
+    42: "3^2 7^2 43 127 337 5419",
+    43: "431 9719 2099863",
+    44: "3 5 23 89 397 683 2113",
+    45: "7 31 73 151 631 23311",
+    46: "3 47 178481 2796203",
+    47: "2351 4513 13264529",
+    48: "3^2 5 7 13 17 97 241 257 673",
+    49: "127 4432676798593",
+    50: "3 11 31 251 601 1801 4051",
+    51: "7 103 2143 11119 131071",
+    52: "3 5 53 157 1613 2731 8191",
+    53: "6361 69431 20394401",
+    54: "3^4 7 19 73 87211 262657",
+    55: "23 31 89 881 3191 201961",
+    56: "3 5 17 29 43 113 127 15790321",
+    57: "7 32377 524287 1212847",
+    58: "3 59 233 1103 2089 3033169",
+    59: "179951 3203431780337",
+    60: "3^2 5^2 7 11 13 31 41 61 151 331 1321",
+    61: "2305843009213693951",
+    62: "3 715827883 2147483647",
+    63: "7^2 73 127 337 92737 649657",
+    64: "3 5 17 257 641 65537 6700417",
+    65: "31 8191 145295143558111",
+    66: "3^2 7 23 67 89 683 20857 599479",
+    67: "193707721 761838257287",
+    68: "3 5 137 953 26317 43691 131071",
+    69: "7 47 178481 10052678938039",
+    70: "3 11 31 43 71 127 281 86171 122921",
+    71: "228479 48544121 212885833",
+    72: "3^3 5 7 13 17 19 37 73 109 241 433 38737",
+    73: "439 2298041 9361973132609",
+    74: "3 223 1777 25781083 616318177",
+    75: "7 31 151 601 1801 100801 10567201",
+    76: "3 5 229 457 174763 524287 525313",
+    77: "23 89 127 581283643249112959",
+    78: "3^2 7 79 2731 8191 121369 22366891",
+    79: "2687 202029703 1113491139767",
+    80: "3 5^2 11 17 31 41 257 61681 4278255361",
+    81: "7 73 2593 71119 262657 97685839",
+    82: "3 83 13367 164511353 8831418697",
+    83: "167 57912614113275649087721",
+    84: "3^2 5 7^2 13 29 43 113 127 337 1429 5419 14449",
+    85: "31 131071 9520972806333758431",
+    86: "3 431 9719 2099863 2932031007403",
+    87: "7 233 1103 2089 4177 9857737155463",
+    88: "3 5 17 23 89 353 397 683 2113 2931542417",
+    89: "618970019642690137449562111",
+    90: "3^3 7 11 19 31 73 151 331 631 23311 18837001",
+    91: "127 911 8191 112901153 23140471537",
+    92: "3 5 47 277 1013 1657 30269 178481 2796203",
+    93: "7 2147483647 658812288653553079",
+    94: "3 283 2351 4513 13264529 165768537521",
+    95: "31 191 524287 420778751 30327152671",
+    96: "3^2 5 7 13 17 97 193 241 257 673 65537 22253377",
+}
+
+
+def _smallest_prime_factors(limit):
+    spf = list(range(limit))
+    for p in range(2, isqrt(limit - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+# strong Lucas pseudoprimes with Selfridge's parameters below 2^16 (A217255)
+STRONG_LUCAS = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519}
+
+
+class TestIntegers:
+    def test_factor_int_matches_trial_division_below_2_16(self):
+        spf = _smallest_prime_factors(1 << 16)
+        for n in range(1, 1 << 16):
+            expect, m = {}, n
+            while m > 1:
+                expect[spf[m]] = expect.get(spf[m], 0) + 1
+                m //= spf[m]
+            assert factor_int(n) == expect, n
+
+    def test_is_prime_matches_sieve(self):
+        lo, hi = 1 << 16, (1 << 16) + (1 << 14)
+        composite = set()
+        for p in range(2, isqrt(hi) + 1):
+            composite.update(range(max(p * p, (lo + p - 1) // p * p), hi, p))
+        for n in range(lo, hi):
+            assert is_prime(n) == (n not in composite), n
+        # strong base-2 pseudoprimes (A001262) in the range: Lucas rejects them
+        assert {74665, 80581} <= composite
+        assert [n for n in range(64) if is_prime(n)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61
+        ]
+
+    def test_strong_lucas_pseudoprimes_below_2_16(self):
+        spf = _smallest_prime_factors(1 << 16)
+        for n in range(257, 1 << 16, 2):
+            if isqrt(n) ** 2 != n:
+                expect = spf[n] == n or n in STRONG_LUCAS
+                assert poly2._strong_lucas(n) == expect, n
+
+    def test_baillie_psw_rejects_pseudoprimes(self):
+        for n in (561, 1105, 1729, 2047, 3277, 4033, 4681, 8321,
+                  3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n), n
+        # the last two have no factor below 256 and pass base-2 Fermat
+        # (indeed strong) tests; only Lucas rejects them
+        for n in (3825123056546413051, 318665857834031151167461):
+            assert pow(2, n - 1, n) == 1
+        # strong Lucas pseudoprimes with no factor below 256: only
+        # Miller-Rabin rejects them
+        for n in (161027, 176399):  # 283 * 569, 419 * 421
+            assert poly2._strong_lucas(n) and not is_prime(n), n
+
+    def test_baillie_psw_accepts_mersenne_primes(self):
+        for e in (61, 89, 127):
+            assert is_prime((1 << e) - 1), e
+
+    def test_mersenne_factorizations(self):
+        for d, text in MERSENNE_FACTORS.items():
+            expect = {}
+            for term in text.split():
+                p, _, e = term.partition("^")
+                expect[int(p)] = int(e or 1)
+            got = factor_int((1 << d) - 1)
+            assert got == expect and list(got) == sorted(got), d
+
+    def test_rho_splits_large_composites(self):
+        p, q, r = (1 << 31) - 1, 1000000007, 65537
+        assert factor_int(p * q) == {q: 1, p: 1}
+        assert factor_int(r**3 * p**2 * 3) == {3: 1, r: 3, p: 2}
+        assert factor_int(1) == {}
+        with pytest.raises(ValueError):
+            factor_int(0)
 
 
 class TestCalculus:

@@ -10,13 +10,14 @@ Output is aligned key/value text by default, a JSON tree with --json;
 both are byte-stable for identical inputs.  Exit codes: 0 success,
 1 semantic failure (e.g. inverting a non-permutation; the gcd witness
 is reported), 2 malformed command line or operand, 3 a scan exceeded
-its size limit (see --max-bruteforce / --max-du).
+its size limit (see --max-bruteforce / --max-du), 141 stdout closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import analysis, ring, tables
@@ -238,7 +239,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.verb](args)
+        code = _HANDLERS[args.verb](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left: send the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BoundExceededError as e:
         print(str(e), file=sys.stderr)
         return 3

@@ -184,7 +184,7 @@ def ring_inverse(a: RingElement) -> RingElement:
 
 
 def _non_unit(a: RingElement, g: BinPoly) -> NonUnitError:
-    return NonUnitError(g, f"[{a.rep}] is not a unit modulo {a.modulus.poly}: gcd = {g}")
+    return NonUnitError(g, f"not a unit for n = {a.modulus.n}: degree {a.rep.degree}, gcd degree {g.degree}")
 
 
 def modulus_factorization(mod: Modulus) -> Factorization:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from shiftperm import tables
@@ -255,6 +256,20 @@ class TestDegrees:
             algebraic_degree(kappa(17))
 
 
+class TestIsBijective:
+    def test_matches_set_oracle(self):
+        rng = random.Random(12)
+        for n in range(1, 13):
+            size = 1 << n
+            perm = rng.sample(range(size), size)
+            i, j = rng.sample(range(size), 2)
+            clash = list(perm)
+            clash[i] = clash[j]  # same size, one value twice and one missing
+            for values in (perm, clash, [size - 1] * size):
+                table = np.array(values, dtype=np.uint64)
+                assert tables.is_bijective(table) == (len(set(values)) == size), n
+
+
 def _ddt_max_scalar(table):
     size = len(table)
     best = 0
@@ -307,6 +322,39 @@ class TestDifferentialUniformity:
         for f, n in ((kappa(8), 8), (chi(9), 9), (TAU.at(10), 10)):
             scal = [evaluate(f, BitVector(n, v)).bits for v in range(1 << n)]
             assert differential_uniformity(f) == _ddt_max_scalar(scal), (f.mask, n)
+
+    def test_matches_full_numpy_scan(self):
+        # every nonzero difference over the whole domain: no shift classes, no pairing
+        def full_scan(table, n):
+            t = table.astype(np.int64)
+            ids = np.arange(1 << n)
+            return max(int(np.bincount(t ^ t[ids ^ a]).max()) for a in range(1, 1 << n))
+
+        rng = random.Random(13)
+        for n in range(1, 14):
+            dim = n if n % 2 == 0 else (n + 1) // 2
+            masks = {0, 1, 0b111 & ((1 << dim) - 1)} | {rng.randrange(1 << dim) for _ in range(2)}
+            for mask in sorted(masks):
+                f = GammaCombination(mask, n)
+                table = tables.function_table(f.mask, n)
+                assert differential_uniformity(f) == full_scan(table, n), (mask, n)
+            # swapping 0 and 1...1 commutes with the shift, and only the last class
+            # row, a = 1...1, reaches 2^n: the last batch must be scanned
+            swap = tables.domain(n)
+            swap[[0, -1]] = swap[[-1, 0]]
+            assert tables.ddt_max(swap, n) == full_scan(swap, n) == 1 << n, n
+
+    def test_batches_end_partial_at_12_and_13(self):
+        # the oracle comparison above must cover several batches and a short last one
+        for n in (12, 13):
+            rows = tables.DDT_BATCH >> (n - 1)
+            classes = tables.shift_class_representatives(n).size - 1
+            assert classes > rows and classes % rows, n
+
+    def test_class_representatives_odd(self):
+        # the pairing of x with x ^ a needs every nonzero representative a to be odd
+        for n in range(1, 17):
+            assert (tables.shift_class_representatives(n)[1:] % 2 == 1).all(), n
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):

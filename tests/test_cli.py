@@ -228,6 +228,20 @@ def test_import_leaves_sympy_out():
     )
 
 
+def test_closed_stdout_leaves_no_traceback():
+    # enumerate --n 16 writes about 500 KB, far more than a pipe buffer holds
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shiftperm.cli", "enumerate", "--n", "16"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err
+
+
 # Operands of degree <= 24, so that trial-division factoring stays cheap;
 # dimensions and scan limits run past every limit and ceiling.
 _junk = st.text("g0123456789+,- x", max_size=8)

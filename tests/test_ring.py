@@ -134,6 +134,14 @@ class TestUnits:
             ring_inverse(reduce(P("11"), Modulus(6)))
         assert info.value.witness == P("11")
 
+    def test_non_unit_message_gives_degrees_only(self):
+        # the message stays short at large n: no polynomial is rendered
+        f = x_power(30000) + ONE
+        with pytest.raises(NonUnitError) as info:
+            ring_inverse(reduce(f, Modulus(60000)))
+        assert info.value.witness == f
+        assert str(info.value) == "not a unit for n = 60000: degree 30000, gcd degree 30000"
+
 
 class TestFoldedArithmetic:
     """The folded reduction and the lifted inverse against division and

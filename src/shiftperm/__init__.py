@@ -68,7 +68,6 @@ from .analysis import (
     xi_upper_bound,
 )
 from .tables import (
-    ANF_LIMIT,
     BIJECTIVITY_LIMIT,
     DU_LIMIT,
     ORACLE_LIMIT,

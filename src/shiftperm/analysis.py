@@ -4,9 +4,10 @@ The exact criteria work through the polynomial mirror: on odd
 dimensions every combination containing gamma(0) permutes F_2^n, on
 even n = 2^s * m (m odd) it permutes iff its coefficient polynomial is
 coprime to 1 + X^m; the gcd is returned as a witness either way.
-Brute-force counterparts (bijectivity scan, difference distribution,
-ANF degree) run over all 2^n inputs below explicit size limits and are
-deliberately independent of the ring arithmetic.
+Brute-force counterparts (bijectivity scan, difference distribution)
+run over all 2^n inputs below explicit size limits and are
+deliberately independent of the ring arithmetic.  The algebraic degree
+has a closed form in the canonical mask and needs no scan.
 
 The dimension sets are captured by xi: for a combination with
 coefficient polynomial F = g_1^{e_1} ... g_t^{e_t}, xi is the set
@@ -29,7 +30,7 @@ from .bitstate import BitVector
 from .gammaspan import GammaCombination, phi, psi
 from .poly2 import BinPoly, ONE, X, ZERO, find_irreducible_of_order, x_power
 from .ring import Modulus, odd_part_gcd, ring_inverse
-from .tables import ANF_LIMIT, BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT, BoundExceededError
+from .tables import BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT, BoundExceededError
 
 # realize_xi searches irreducibles of degree <= 128, where factoring
 # 2^d - 1 takes seconds at most (d = 101), and all but the largest of
@@ -171,17 +172,23 @@ def realize_xi(targets) -> GammaCombination:
     return GammaCombination(F.bits, None)
 
 
-def algebraic_degree(f: GammaCombination, n: int | None = None, limit: int = ANF_LIMIT) -> int:
-    """Multivariate degree of the first coordinate function, by ANF transform.
+def algebraic_degree(f: GammaCombination, n: int | None = None) -> int:
+    """Multivariate degree of the coordinate functions (all equal by
+    shift-invariance): min(M.bit_length(), n // 2 + 1) for the canonical
+    mask M.  The zero function is an error, not a degree.
 
-    All coordinates share it by shift-invariance.  The zero function is
-    an error, not a degree.
+    Coordinate 0 of gamma(2k) is x_{2k} * prod_{j odd < 2k} (1 + x_j),
+    indices mod n.  Its top monomial x_{2k} x_1 x_3 ... x_{2k-1} occurs
+    in no lower term, so for 2k < n it has degree k + 1, above every
+    gamma(2k') with k' < k.  The canonical form keeps 2k < n on odd n.
+    On even n it keeps k < n, and each k >= n/2 gives the distinct even
+    index 2k mod n beside all n/2 odd variables: top monomials of degree
+    n/2 + 1 that no two terms share, so none cancel.
     """
     g = _bind(f, n)
     if g.is_zero:
         raise ValueError("the zero function has no algebraic degree")
-    tables.check_limit(g.n, limit, "ANF transform")
-    return tables.anf_degree(tables.function_table(g.mask, g.n), g.n)
+    return min(g.mask.bit_length(), g.n // 2 + 1)
 
 
 def differential_uniformity(f: GammaCombination, n: int | None = None, limit: int = DU_LIMIT) -> int:
@@ -273,7 +280,7 @@ class AnalysisReport:
     gcd_witness: BinPoly
     inverse: GammaCombination | None
     xi: tuple
-    algebraic_degree: int | None
+    algebraic_degree: int
     inverse_degree: int | None
     differential_uniformity: int | None
 
@@ -296,34 +303,20 @@ class AnalysisReport:
         }
 
 
-def analyze(
-    f: GammaCombination,
-    n: int | None = None,
-    anf_limit: int = ANF_LIMIT,
-    du_limit: int = DU_LIMIT,
-) -> AnalysisReport:
+def analyze(f: GammaCombination, n: int | None = None, du_limit: int = DU_LIMIT) -> AnalysisReport:
     """Full report: permutation status and witness, inverse, xi, degrees,
     and (within its limit) the brute-forced differential uniformity.
 
-    Scan-based fields are None above their limits; everything else is
-    exact at any dimension.
+    The differential uniformity is None above its limit; everything else
+    is exact at any dimension.
     """
     g = _bind(f, n)
-    tables.check_ceiling(anf_limit, "ANF transform")
     tables.check_ceiling(du_limit, "difference distribution scan")
     if g.n <= du_limit:
         tables.check_limit(g.n, DU_CEILING, "difference distribution scan")
     ok, witness = is_permutation(g)
     inv = inverse(g) if ok else None
-    deg = inv_deg = du = None
-    if g.n <= max(anf_limit, du_limit):
-        table = tables.function_table(g.mask, g.n)
-        if g.n <= anf_limit:
-            deg = tables.anf_degree(table, g.n)
-            if inv is not None:
-                inv_deg = tables.anf_degree(tables.function_table(inv.mask, g.n), g.n)
-        if g.n <= du_limit:
-            du = tables.ddt_max(table, g.n)
+    du = tables.ddt_max(tables.function_table(g.mask, g.n), g.n) if g.n <= du_limit else None
     return AnalysisReport(
         f=g,
         n=g.n,
@@ -331,7 +324,7 @@ def analyze(
         gcd_witness=witness,
         inverse=inv,
         xi=tuple(sorted(xi(g))),
-        algebraic_degree=deg,
-        inverse_degree=inv_deg,
+        algebraic_degree=algebraic_degree(g),
+        inverse_degree=None if inv is None else algebraic_degree(inv),
         differential_uniformity=du,
     )

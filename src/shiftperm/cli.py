@@ -10,7 +10,7 @@ Output is aligned key/value text by default, a JSON tree with --json;
 both are byte-stable for identical inputs.  Exit codes: 0 success,
 1 semantic failure (e.g. inverting a non-permutation; the gcd witness
 is reported), 2 malformed command line or operand, 3 a scan exceeded
-its size limit (see --max-bruteforce / --max-du), 141 stdout closed.
+its size limit (see --max-du), 141 stdout closed.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for one map on F_2^n")
     add_f(p)
     p.add_argument("--n", type=int, required=True, help="dimension")
-    p.add_argument("--max-bruteforce", type=int, default=tables.ANF_LIMIT,
-                   help="largest n for table-based scans (ANF degree)")
     p.add_argument("--max-du", type=int, default=tables.DU_LIMIT,
                    help="largest n for the difference distribution scan")
     p.add_argument("--json", action="store_true")
@@ -120,7 +118,7 @@ def _emit(pairs, as_json: bool) -> None:
 
 def _run_analyze(args) -> int:
     f = _parse_combination(args, args.n)
-    report = analysis.analyze(f, anf_limit=args.max_bruteforce, du_limit=args.max_du)
+    report = analysis.analyze(f, du_limit=args.max_du)
     d = report.to_dict()
     _emit(list(d.items()), args.json)
     return 0
@@ -205,7 +203,7 @@ def _run_table1(args) -> int:
         assert closed == lifted, f"closed form disagrees with the ring inverse at n={n}"
         rows.append((n, closed.to_string()))
     if args.json:
-        print(json.dumps({"rows": [{"n": n, "coefficients": s} for n, s in rows]}, indent=2))
+        _emit([("rows", [{"n": n, "coefficients": s} for n, s in rows])], True)
     else:
         print("n   coefficients")
         for n, s in rows:

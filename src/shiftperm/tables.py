@@ -3,9 +3,9 @@
 A value table is a numpy uint64 array indexed by the packed input x;
 entry x holds the packed output.  Building a table costs a handful of
 vectorized word operations per gamma term, which keeps scans over all
-2^n inputs (bijectivity, difference distribution, algebraic normal
-form) cheap at desk scale.  Everything here is brute force by design
-and guarded by explicit size limits.
+2^n inputs (bijectivity, difference distribution) cheap at desk scale.
+Everything here is brute force by design and guarded by explicit size
+limits.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 BIJECTIVITY_LIMIT = 20
 ORACLE_LIMIT = 16
-ANF_LIMIT = 16
 DU_LIMIT = 14
 DU_CEILING = 16  # largest n for any DDT scan: kappa takes about 1 s at n = 16, 15 s at 18
 DDT_BATCH = 1 << 15  # input pairs per bincount in ddt_max
@@ -75,26 +74,6 @@ def is_bijective(table: np.ndarray) -> bool:
     seen = np.zeros(table.size, dtype=bool)
     seen[table] = True
     return bool(seen.all())
-
-
-def moebius(table: np.ndarray, n: int) -> np.ndarray:
-    """Moebius (ANF) transform of a packed table, all coordinates at once."""
-    t = table.copy()
-    for i in range(n):
-        s = 1 << i
-        t = t.reshape(-1, 2 * s)
-        t[:, s:] ^= t[:, :s]
-        t = t.reshape(-1)
-    return t
-
-
-def anf_degree(table: np.ndarray, n: int, coord: int = 0) -> int:
-    """Multivariate degree of one coordinate function, from its ANF support."""
-    coeffs = moebius(table, n)
-    support = np.flatnonzero((coeffs >> np.uint64(coord)) & np.uint64(1))
-    if support.size == 0:
-        raise ValueError("the zero function has no algebraic degree")
-    return max(int(m).bit_count() for m in support)
 
 
 def shift_class_representatives(n: int) -> np.ndarray:

@@ -37,9 +37,13 @@ P = BinPoly.parse
 TAU = GammaCombination.from_indices([0, 1, 3])  # g0+g2+g6, polynomial 1+X+X^3
 
 
+def canonical_masks(n):
+    """Every nonzero canonical mask: 2k < n on odd n, k < n on even n."""
+    return range(1, 1 << (n if n % 2 == 0 else (n + 1) // 2))
+
+
 def monoid_masks(n):
-    dim = n if n % 2 == 0 else (n + 1) // 2
-    return range(1, 1 << dim, 2)
+    return canonical_masks(n)[::2]
 
 
 class TestPermutationCriterion:
@@ -252,8 +256,33 @@ class TestDegrees:
             algebraic_degree(GammaCombination(0, 6))
 
     def test_bound(self):
-        with pytest.raises(BoundExceededError):
-            algebraic_degree(kappa(17))
+        # the closed form has no scan limit
+        assert algebraic_degree(kappa(17)) == 3
+        assert algebraic_degree(inverse(kappa(100001))) == 50000
+
+    def test_builds_no_table(self, monkeypatch):
+        def refuse(mask, n):
+            raise AssertionError(f"table built for mask {mask} at n={n}")
+
+        monkeypatch.setattr(tables, "function_table", refuse)
+        assert algebraic_degree(kappa(8)) == 3
+        assert algebraic_degree(inverse(kappa(16))) == 9
+
+    def test_matches_anf_oracle_exhaustive(self):
+        for n in range(1, 13):
+            for mask in canonical_masks(n):
+                f = GammaCombination(mask, n)
+                assert f.mask == mask, (n, mask)
+                assert algebraic_degree(f) == _anf_degree(tables.function_table(mask, n), n), (n, mask)
+
+    def test_matches_anf_oracle_randomized(self):
+        rng = random.Random(14)
+        for n in range(13, 17):
+            cases = [GammaCombination(rng.choice(canonical_masks(n)), n) for _ in range(10)]
+            if n % 6:
+                cases.append(inverse(kappa(n)))
+            for f in cases:
+                assert algebraic_degree(f) == _anf_degree(tables.function_table(f.mask, n), n), (n, f.mask)
 
 
 class TestIsBijective:
@@ -268,6 +297,23 @@ class TestIsBijective:
             for values in (perm, clash, [size - 1] * size):
                 table = np.array(values, dtype=np.uint64)
                 assert tables.is_bijective(table) == (len(set(values)) == size), n
+
+
+def _moebius(table, n):
+    """Moebius (ANF) transform of a packed table, all coordinates at once."""
+    t = table.copy()
+    for i in range(n):
+        s = 1 << i
+        t = t.reshape(-1, 2 * s)
+        t[:, s:] ^= t[:, :s]
+        t = t.reshape(-1)
+    return t
+
+
+def _anf_degree(table, n):
+    """Degree of coordinate 0: the largest monomial in its ANF support."""
+    support = np.flatnonzero(_moebius(table, n) & np.uint64(1))
+    return max(int(m).bit_count() for m in support)
 
 
 def _ddt_max_scalar(table):
@@ -437,7 +483,11 @@ class TestAnalyze:
         monkeypatch.setattr(tables, "function_table", counting)
         report = analyze(kappa(8))
         assert report.algebraic_degree == 3 and report.differential_uniformity == 56
-        assert built == [kappa(8).mask, report.inverse.mask]
+        assert built == [kappa(8).mask]
+        built.clear()
+        report = analyze(kappa(8), du_limit=7)
+        assert report.inverse_degree == 5 and report.differential_uniformity is None
+        assert built == []
 
     def test_non_permutation_report(self):
         report = analyze(chi(6))
@@ -447,12 +497,12 @@ class TestAnalyze:
 
     def test_fields_above_limits_are_empty(self):
         report = analyze(kappa(20))
-        assert report.algebraic_degree is None
+        assert report.algebraic_degree == 3
         assert report.differential_uniformity is None
         assert report.is_permutation and report.inverse is not None
 
     def test_raised_limit_is_passed_through(self):
-        report = analyze(kappa(17), anf_limit=17)
+        report = analyze(kappa(17))
         assert report.algebraic_degree == 3
         assert report.inverse_degree == (17 - 1) // 2
         assert report.differential_uniformity is None

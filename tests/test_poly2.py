@@ -22,6 +22,8 @@ from shiftperm.poly2 import (
     x_power,
 )
 
+from checks import shift_and_add
+
 P = BinPoly.parse
 
 polys = st.integers(0, (1 << 65) - 1).map(BinPoly)
@@ -86,13 +88,6 @@ class TestArithmetic:
         assert P("11") ** 2 == P("101")
 
     def test_clmul_matches_shift_and_add_around_window(self):
-        def shift_and_add(a, b):
-            out = 0
-            for i in range(b.bit_length()):
-                if (b >> i) & 1:
-                    out ^= a << i
-            return out
-
         rng = random.Random(7)
         w = poly2._WINDOW_MIN_BITS
         lengths = (1, 8, 9, w - 1, w, w + 1, w + 8, 3 * w, 4000)
@@ -101,6 +96,29 @@ class TestArithmetic:
                 a, b = rng.getrandbits(la) | (1 << (la - 1)), rng.getrandbits(lb) | (1 << (lb - 1))
                 assert poly2._clmul(a, b) == shift_and_add(a, b), (la, lb)
         assert poly2._clmul(0, rng.getrandbits(2 * w)) == 0
+
+    def test_clmul_matches_shift_and_add_around_karatsuba(self):
+        # balanced pairs split both operands; a multiplier of at most half
+        # the longer length (1 + t/2 against 3t, t against 2t + 2) splits one
+        rng = random.Random(8)
+        t = poly2._KARATSUBA_MIN_BITS
+        lengths = (1 + t // 2, t - 1, t, t + 1, 2 * t, 2 * t + 2, 3 * t)
+        for la in lengths:
+            for lb in lengths:
+                a, b = rng.getrandbits(la) | (1 << (la - 1)), rng.getrandbits(lb) | (1 << (lb - 1))
+                assert poly2._clmul(a, b) == shift_and_add(a, b), (la, lb)
+        for length in (t, 3 * t):
+            assert poly2._clmul(0, rng.getrandbits(length)) == 0
+            assert poly2._clmul(rng.getrandbits(length), 0) == 0
+
+    def test_power_matches_repeated_product(self):
+        rng = random.Random(9)
+        for length in (1, 5, 70, 300):
+            f = rng.getrandbits(length)
+            expect = 1
+            for e in range(12):
+                assert (BinPoly(f) ** e).bits == expect, (f, e)
+                expect = shift_and_add(expect, f)
 
     def test_shift_multiplies_by_monomial(self):
         assert (P("11") << 2) == P("0011")

@@ -17,6 +17,8 @@ from shiftperm.ring import (
     unit_group_order,
 )
 
+from checks import shift_and_add
+
 P = BinPoly.parse
 
 # every 2-adic exponent s = 0..5 below 65, and large n with s = 3, 0, 1, 3
@@ -175,6 +177,44 @@ class TestFoldedArithmetic:
                             ring_inverse(el)
                         assert info.value.witness == poly2.gcd(f, mod.poly), (n, f)
                         assert not is_unit(el)
+
+    def test_mul_matches_shift_and_add(self):
+        # on even n the product is joined from its residues mod X^h and X^h + 1
+        rng = random.Random(23)
+        for n in FOLD_DIMENSIONS + [60000, 60001]:
+            mod = Modulus(n)
+            for _ in range(2 if n > 5144 else 6):
+                a, b = (BinPoly(rng.getrandbits(mod.degree)) for _ in range(2))
+                expect = BinPoly(shift_and_add(a.bits, b.bits)) % mod.poly
+                assert ring_mul(RingElement(mod, a), RingElement(mod, b)).rep == expect, n
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_witness_matches_gcd(self, s):
+        # m = 3 * 5 * 7: 1 + X + X^2 and the other factors of X^m + 1 have
+        # multiplicity k = 2^(s-1) in the modulus; e runs across k
+        rng = random.Random(24 + s)
+        k = 1 << (s - 1)
+        mod = Modulus(105 << s)
+        h = mod.n // 2
+        factors = (P("111"), P("1101"), P("11111"), P("11"))
+        for e in sorted({1, max(k - 1, 1), k, k + 1, 2 * k + 1}):
+            for factor in factors:
+                for v in (0, 0, 1, h - 1, h, h + 3):
+                    f = BinPoly(rng.getrandbits(mod.degree) | 1) * factor**e
+                    f = (f << v) % mod.poly
+                    with pytest.raises(NonUnitError) as info:
+                        ring_inverse(RingElement(mod, f))
+                    assert info.value.witness == poly2.gcd(f, mod.poly), (s, e, factor, v)
+
+    def test_witness_without_constant_term(self):
+        rng = random.Random(25)
+        for n in FOLD_DIMENSIONS:
+            mod = Modulus(n)
+            for v in {1, 2, max(mod.degree // 2, 1), max(mod.degree - 1, 1), mod.degree}:
+                f = BinPoly(rng.getrandbits(mod.degree) << v) % mod.poly
+                with pytest.raises(NonUnitError) as info:
+                    ring_inverse(RingElement(mod, f))
+                assert info.value.witness == poly2.gcd(f, mod.poly), (n, f)
 
 
 class TestModulusFactorization:

@@ -16,9 +16,9 @@ from shiftperm import (
     chi,
     compose,
     compose_oracle,
+    factor,
     gamma_term,
     is_unit,
-    modulus_factorization,
     phi,
     reduce,
     tables,
@@ -51,7 +51,7 @@ for dim in (5, 6, 8, 10):
         if is_unit(reduce(BinPoly(m), mod))
     ]
     factors = " * ".join(
-        f"({g})^{e}" if e > 1 else f"({g})" for g, e in modulus_factorization(mod)
+        f"({g})^{e}" if e > 1 else f"({g})" for g, e in factor(mod.poly)
     )
     print(f"n = {dim:2d}: modulus factors {factors}")
     print(f"        {unit_group_order(mod):4d} permutations; first few: {units[:4]}")

@@ -16,7 +16,6 @@ from .poly2 import (
     X,
     ZERO,
     BinPoly,
-    Factorization,
     ext_gcd,
     factor,
     find_irreducible_of_order,
@@ -31,7 +30,6 @@ from .ring import (
     NonUnitError,
     RingElement,
     is_unit,
-    modulus_factorization,
     reduce,
     ring_inverse,
     ring_mul,

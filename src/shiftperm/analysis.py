@@ -123,7 +123,7 @@ def xi(f) -> frozenset:
         raise ValueError("xi is undefined for the zero combination")
     if F.constant_term != 1:
         raise ValueError("xi applies to combinations containing gamma(0)")
-    return frozenset(2 * poly2.order(g) for g in poly2.factor(F).distinct())
+    return frozenset(2 * poly2._irreducible_order(g) for g, _ in poly2.factor(F))
 
 
 def xi_upper_bound(f) -> frozenset:
@@ -135,7 +135,7 @@ def xi_upper_bound(f) -> frozenset:
     if F.constant_term != 1:
         raise ValueError("xi applies to combinations containing gamma(0)")
     out = set()
-    for d in {g.degree for g in poly2.factor(F).distinct()}:
+    for d in {g.degree for g, _ in poly2.factor(F)}:
         divisors = [1]
         for p, e in poly2.factor_int((1 << d) - 1).items():
             divisors = [q * p**k for q in divisors for k in range(e + 1)]

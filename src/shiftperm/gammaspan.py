@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import tables
 from .bitstate import BitVector, eval_gamma
 from .poly2 import BinPoly
-from .ring import Modulus, RingElement, reduce, reduce_bits, ring_mul
+from .ring import Modulus, RingElement, reduce_bits, ring_mul
 
 
 class GammaCombination:
@@ -161,10 +161,11 @@ def evaluate(f: GammaCombination, x: BitVector) -> BitVector:
 
 
 def phi(f: GammaCombination) -> RingElement:
-    """The residue of the coefficient polynomial in the ring for dimension f.n."""
+    """The residue of the coefficient polynomial in the ring for dimension f.n;
+    a bound mask is already canonical, reduced when the combination was built."""
     if f.n is None:
         raise ValueError("bind the combination to a dimension first, e.g. f.at(n)")
-    return reduce(f.poly(), Modulus(f.n))
+    return RingElement(Modulus(f.n), f.poly())
 
 
 def psi(a: RingElement) -> GammaCombination:

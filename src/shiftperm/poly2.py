@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import gcd as int_gcd, isqrt, lcm, prod
 
 
@@ -330,31 +329,9 @@ def irreducible_polys(degree: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Factors of a binary polynomial as (irreducible, multiplicity) pairs,
-    sorted by (degree, coefficient value)."""
-
-    factors: tuple
-
-    def product(self) -> BinPoly:
-        out = ONE
-        for g, e in self.factors:
-            out = out * g ** e
-        return out
-
-    def distinct(self) -> tuple:
-        return tuple(g for g, _ in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
-
-def factor(f: BinPoly) -> Factorization:
-    """Complete factorization of a nonzero polynomial into irreducibles.
+def factor(f: BinPoly) -> tuple:
+    """Complete factorization of a nonzero polynomial into irreducibles:
+    (irreducible, multiplicity) pairs, sorted by (degree, coefficient value).
 
     Squarefree decomposition first (gcd with the derivative; a vanishing
     derivative means the polynomial is a perfect square), then trial
@@ -367,7 +344,7 @@ def factor(f: BinPoly) -> Factorization:
     counts: dict = {}
     _factor_into(f.bits, 1, counts)
     ordered = sorted(counts.items(), key=lambda kv: (kv[0].bit_length(), kv[0]))
-    return Factorization(tuple((BinPoly(b), e) for b, e in ordered))
+    return tuple((BinPoly(b), e) for b, e in ordered)
 
 
 def _factor_into(fb: int, mult: int, counts: dict) -> None:

@@ -32,6 +32,10 @@ X^min(v, h) gcd(F, g(X^k)) on even n, with F = f mod X^h + 1,
 g = gcd(f, X^m + 1) and k = 2^(s-1): X^m + 1 is squarefree, so the
 factors f shares with (X^m + 1)^k are those of g, and g^k = g(X^k).
 No gcd runs over h bits.
+
+The unit count needs no factoring: X^m + 1 has one irreducible factor
+of degree |C| for each cyclotomic coset C = {j, 2j, 4j, ...} of 2 mod m,
+so |U| = 2^(h-1) 2^(h-m) prod_C (2^|C| - 1) on even n, 2^((n-1)/2) on odd.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly2
-from .poly2 import BinPoly, Factorization, ONE, X, _clmul, _gcd_bits, _mod_bits, _square, x_power
+from .poly2 import BinPoly, ONE, _clmul, _gcd_bits, _mod_bits, _square, x_power
 
 
 class NonUnitError(ValueError):
@@ -239,36 +243,25 @@ def _non_unit(a: RingElement, g: int) -> NonUnitError:
     return NonUnitError(BinPoly(g), f"not a unit for n = {a.modulus.n}: degree {a.rep.degree}, gcd degree {g.bit_length() - 1}")
 
 
-def modulus_factorization(mod: Modulus) -> Factorization:
-    """Irreducible factorization of the modulus polynomial.
+def unit_group_order(mod: Modulus) -> int:
+    """Number of units, by one walk over the cyclotomic cosets C of 2 mod m.
 
-    Odd n gives the single factor X with multiplicity (n+1)/2.  Even
-    n = 2^s * m gives X^(n/2) * (X^m + 1)^(2^(s-1)), so X carries
-    multiplicity n/2 and every irreducible factor of X^m + 1 (that is,
-    1+X and the factors of the exact quotient q = (1+X^m)/(1+X))
-    carries multiplicity 2^(s-1).
-    """
+    F_2[X]/(g^e), g irreducible of degree d, has 2^((e-1)d) (2^d - 1)
+    units.  X^h gives 2^(h-1); the factor of X^m + 1 for coset C, to the
+    power k = h/m, gives 2^((k-1)|C|) (2^|C| - 1): in all, as the |C| sum
+    to m, 2^(h-m) prod_C (2^|C| - 1).  Odd n gives 2^((n-1)/2)."""
     n = mod.n
     if n % 2:
-        return Factorization(((X, (n + 1) // 2),))
-    m, s = mod.odd_part, mod.two_adic
-    mult = 1 << (s - 1)
-    entries = [(X, n // 2), (BinPoly(0b11), mult)]
-    if m > 1:
-        q, r = divmod(x_power(m) + ONE, BinPoly(0b11))
-        assert r.is_zero, "1 + X must divide 1 + X^m exactly for odd m"
-        for g, e in poly2.factor(q):
-            assert e == 1, "1 + X^m is squarefree for odd m"
-            entries.append((g, mult))
-    entries.sort(key=lambda ge: (ge[0].degree, ge[0].bits))
-    return Factorization(tuple(entries))
-
-
-def unit_group_order(mod: Modulus) -> int:
-    """Number of units: the product of 2^((e-1)d) * (2^d - 1) over the
-    distinct irreducible factors of the modulus (degree d, multiplicity e)."""
-    total = 1
-    for g, e in modulus_factorization(mod):
-        d = g.degree
-        total *= (1 << ((e - 1) * d)) * ((1 << d) - 1)
+        return 1 << (n - 1) // 2
+    h, m = n // 2, mod.odd_part
+    total = 1 << (h - 1) + (h - m)  # the powers of 2 from X^h and (X^m + 1)^k
+    seen = bytearray(m)
+    for start in range(m):
+        j, size = start, 0
+        while not seen[j]:
+            seen[j] = 1
+            j = 2 * j % m
+            size += 1
+        if size:
+            total *= (1 << size) - 1
     return total

@@ -27,6 +27,15 @@ def shift_and_add(a: int, b: int) -> int:
     return out
 
 
+def factor_product(pairs) -> BinPoly:
+    """The product of g^e over (g, e) pairs, by shift-and-add."""
+    out = 1
+    for g, e in pairs:
+        for _ in range(e):
+            out = shift_and_add(out, g.bits)
+    return BinPoly(out)
+
+
 def check_shift_invariance(max_n: int = 10) -> int:
     """eval_gamma commutes with the cyclic shift for every k <= 2n and input."""
     cases = 0

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from shiftperm import tables
+from shiftperm import poly2, tables
 from shiftperm.analysis import (
     algebraic_degree,
     analyze,
@@ -144,6 +144,19 @@ class TestXi:
             f = GammaCombination(rng.randrange(1 << 7) | 1)
             for t in xi(f):
                 assert t % 2 == 0 and (t // 2) % 2 == 1, (f.mask, t)
+
+    def test_factors_once_per_call(self, monkeypatch):
+        rng = random.Random(9)
+        polys = [P("11") * P("111") ** 2 * P("1101"), P("10011") ** 3] + [
+            BinPoly(rng.randrange(1 << 12) | 1) for _ in range(20)
+        ]
+        expected = [frozenset(2 * poly2.order(g) for g, _ in poly2.factor(F)) for F in polys]
+        factor, calls = poly2.factor, []
+        monkeypatch.setattr(poly2, "factor", lambda f: calls.append(f) or factor(f))
+        for F, want in zip(polys, expected):
+            calls.clear()
+            assert xi(F) == want, F
+            assert len(calls) == 1, F
 
     def test_upper_bound_examples(self):
         assert xi_upper_bound(TAU) == frozenset({2, 14})

@@ -58,6 +58,8 @@ GRID = [
     ["xi", "--poly", "0,1,2,5,61"],
     ["xi", "--poly", "0,3,5,6,62"],
     ["xi", "--poly", "0,1,2,5,67"],
+    ["enumerate", "--n", "10"],
+    ["enumerate", "--n", "12"],
 ]
 
 

@@ -1,15 +1,15 @@
+import math
 import random
 
 import pytest
 
 from shiftperm import poly2
-from shiftperm.poly2 import BinPoly, ONE, ZERO, X, x_power
+from shiftperm.poly2 import BinPoly, ONE, ZERO, X, factor, x_power
 from shiftperm.ring import (
     Modulus,
     NonUnitError,
     RingElement,
     is_unit,
-    modulus_factorization,
     reduce,
     ring_inverse,
     ring_mul,
@@ -17,7 +17,7 @@ from shiftperm.ring import (
     unit_group_order,
 )
 
-from checks import shift_and_add
+from checks import factor_product, shift_and_add
 
 P = BinPoly.parse
 
@@ -219,28 +219,58 @@ class TestFoldedArithmetic:
 
 class TestModulusFactorization:
     def test_examples(self):
-        assert [(g.to_string(), e) for g, e in modulus_factorization(Modulus(6))] == [
+        assert [(g.to_string(), e) for g, e in factor(Modulus(6).poly)] == [
             ("01", 3),
             ("11", 1),
             ("111", 1),
         ]
-        assert [(g.to_string(), e) for g, e in modulus_factorization(Modulus(8))] == [
+        assert [(g.to_string(), e) for g, e in factor(Modulus(8).poly)] == [
             ("01", 4),
             ("11", 4),
         ]
-        assert [(g.to_string(), e) for g, e in modulus_factorization(Modulus(5))] == [("01", 3)]
+        assert [(g.to_string(), e) for g, e in factor(Modulus(5).poly)] == [("01", 3)]
 
     def test_reconstructs_modulus_up_to_64(self):
         for n in range(1, 65):
             mod = Modulus(n)
-            assert modulus_factorization(mod).product() == mod.poly, n
+            assert factor_product(factor(mod.poly)) == mod.poly, n
 
     def test_one_plus_x_multiplicity_is_half_power(self):
         # the repeated-factor exponent on 1+X^m is 2^(s-1), not 2^s
         for n in (4, 8, 12, 16, 24, 48):
             mod = Modulus(n)
-            mults = {g: e for g, e in modulus_factorization(mod)}
+            mults = {g: e for g, e in factor(mod.poly)}
             assert mults[P("11")] == 1 << (mod.two_adic - 1), n
+
+
+def _units_from_factors(mod):
+    """The product of 2^((e-1)d) (2^d - 1) over the irreducible factors
+    of the modulus (degree d, multiplicity e)."""
+    total = 1
+    for g, e in factor(mod.poly):
+        d = g.degree
+        total *= (1 << ((e - 1) * d)) * ((1 << d) - 1)
+    return total
+
+
+def _units_from_divisors(n):
+    """|U| on even n = 2^s m (m odd), h = n/2, t = 2^(s-1), o_e = ord_e(2):
+    2^(h-1) prod_{e | m} (2^((t-1) o_e) (2^o_e - 1))^(phi(e)/o_e), as Phi_e
+    splits into phi(e)/o_e irreducibles of degree o_e."""
+    h, m = n // 2, n
+    while m % 2 == 0:
+        m //= 2
+    t = h // m
+    total = 1 << (h - 1)
+    for e in range(1, m + 1):
+        if m % e:
+            continue
+        totient = sum(1 for j in range(1, e + 1) if math.gcd(j, e) == 1)
+        o, r = 1, 2 % e
+        while r != 1 % e:
+            o, r = o + 1, 2 * r % e
+        total *= ((1 << (t - 1) * o) * ((1 << o) - 1)) ** (totient // o)
+    return total
 
 
 class TestUnitGroupOrder:
@@ -250,9 +280,27 @@ class TestUnitGroupOrder:
         assert unit_group_order(Modulus(8)) == 64
 
     def test_matches_exhaustive_count(self):
-        for n in range(1, 11):
+        for n in range(1, 17):
             mod = Modulus(n)
             count = sum(
                 1 for v in range(1 << mod.degree) if is_unit(reduce(BinPoly(v), mod))
             )
             assert count == unit_group_order(mod), n
+
+    def test_matches_product_over_factors(self):
+        # trial division cannot split the pairs of irreducibles of degree 20 to 23
+        # (18 for Phi_57) of Phi_41, Phi_47, Phi_49, Phi_55 and Phi_57 in reasonable time
+        for n in sorted(set(range(1, 129)) - {82, 94, 98, 110, 114}):
+            assert unit_group_order(Modulus(n)) == _units_from_factors(Modulus(n)), n
+
+    def test_matches_divisor_form(self):
+        for n in list(range(2, 2001, 2)) + [100002]:
+            assert unit_group_order(Modulus(n)) == _units_from_divisors(n), n
+
+    def test_calls_no_factoring(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("unit_group_order must not factor")
+
+        for name in ("factor", "factor_int", "is_irreducible", "irreducible_polys"):
+            monkeypatch.setattr(poly2, name, refuse)
+        assert unit_group_order(Modulus(150)) == _units_from_divisors(150)

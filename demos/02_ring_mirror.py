@@ -20,18 +20,17 @@ from shiftperm import (
     gamma_term,
     is_unit,
     phi,
-    reduce,
     tables,
     unit_group_order,
 )
 
 n = 8
 f = GammaCombination.parse("g0+g4+g6", n)
-print("f       =", f, " <-> ", phi(f).rep, f"  in F_2[X]/(X^{n}+X^{n//2})")
+print("f       =", f, " <-> ", phi(f), f"  in F_2[X]/(X^{n}+X^{n//2})")
 
 # composing with a single gamma term shifts every index
 g2 = gamma_term(1, n)
-print("g2 o f  =", compose(g2, f), " <-> X *", phi(f).rep)
+print("g2 o f  =", compose(g2, f), " <-> X *", phi(f))
 print()
 
 # compose through the ring, then cross-check against pointwise evaluation
@@ -48,7 +47,7 @@ for dim in (5, 6, 8, 10):
     units = [
         GammaCombination(m, dim).gamma_string()
         for m in range(1, 1 << mod.degree, 2)
-        if is_unit(reduce(BinPoly(m), mod))
+        if is_unit(BinPoly(m), mod)
     ]
     factors = " * ".join(
         f"({g})^{e}" if e > 1 else f"({g})" for g, e in factor(mod.poly)
@@ -59,4 +58,4 @@ print()
 
 # chi is one of them only on odd dimensions
 for dim in (5, 6):
-    print(f"chi on n={dim}: phi(chi) = {phi(chi(dim)).rep}, unit: {is_unit(phi(chi(dim)))}")
+    print(f"chi on n={dim}: phi(chi) = {phi(chi(dim))}, unit: {is_unit(phi(chi(dim)), Modulus(dim))}")

@@ -16,6 +16,7 @@ from .poly2 import (
     X,
     ZERO,
     BinPoly,
+    BoundExceededError,
     ext_gcd,
     factor,
     find_irreducible_of_order,
@@ -28,12 +29,10 @@ from .poly2 import (
 from .ring import (
     Modulus,
     NonUnitError,
-    RingElement,
     is_unit,
     reduce,
     ring_inverse,
     ring_mul,
-    ring_one,
     unit_group_order,
 )
 from .gammaspan import (
@@ -69,7 +68,6 @@ from .tables import (
     BIJECTIVITY_LIMIT,
     DU_LIMIT,
     ORACLE_LIMIT,
-    BoundExceededError,
 )
 
 __version__ = "0.1.0"

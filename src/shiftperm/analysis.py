@@ -28,15 +28,14 @@ from dataclasses import dataclass
 from . import poly2, tables
 from .bitstate import BitVector
 from .gammaspan import GammaCombination, phi, psi
-from .poly2 import BinPoly, ONE, X, ZERO, find_irreducible_of_order, x_power
+from .poly2 import BinPoly, BoundExceededError, ONE, X, ZERO, find_irreducible_of_order, x_power
 from .ring import Modulus, odd_part_gcd, ring_inverse
-from .tables import BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT, BoundExceededError
+from .tables import BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT
 
 # realize_xi searches irreducibles of degree <= 128, where factoring
-# 2^d - 1 takes seconds at most (d = 101), and all but the largest of
-# degree <= 16: xi of the product trial-divides up to the second largest
+# 2^d - 1 takes seconds at most (d = 101), and all but the largest within
+# poly2.TRIAL_DIVISION_LIMIT, as xi of the product factors it
 REALIZE_DEGREE_LIMIT = 128
-REALIZE_COFACTOR_DEGREE_LIMIT = 16
 
 __all__ = [
     "AnalysisReport",
@@ -108,7 +107,17 @@ def inverse(f: GammaCombination, n: int | None = None) -> GammaCombination:
     g = _bind(f, n)
     if not g.in_monoid:
         raise ValueError("only combinations containing gamma(0) can be inverted")
-    return psi(ring_inverse(phi(g)))
+    mod = Modulus(g.n)
+    return psi(ring_inverse(phi(g), mod), mod)
+
+
+def _xi_operand(f) -> BinPoly:
+    F = _formal_poly(f)
+    if F.is_zero:
+        raise ValueError("xi is undefined for the zero combination")
+    if F.constant_term != 1:
+        raise ValueError("xi applies to combinations containing gamma(0)")
+    return F
 
 
 def xi(f) -> frozenset:
@@ -118,24 +127,15 @@ def xi(f) -> frozenset:
     The map permutes F_2^n exactly when no element divides n; the set is
     always finite and consists of doubled odd numbers.
     """
-    F = _formal_poly(f)
-    if F.is_zero:
-        raise ValueError("xi is undefined for the zero combination")
-    if F.constant_term != 1:
-        raise ValueError("xi applies to combinations containing gamma(0)")
+    F = _xi_operand(f)
     return frozenset(2 * poly2._irreducible_order(g) for g, _ in poly2.factor(F))
 
 
 def xi_upper_bound(f) -> frozenset:
     """Superset of xi needing only factor degrees: {2l : l | 2^d - 1}
     over the distinct irreducible factor degrees d."""
-    F = _formal_poly(f)
-    if F.is_zero:
-        raise ValueError("xi is undefined for the zero combination")
-    if F.constant_term != 1:
-        raise ValueError("xi applies to combinations containing gamma(0)")
     out = set()
-    for d in {g.degree for g, _ in poly2.factor(F)}:
+    for d in {g.degree for g, _ in poly2.factor(_xi_operand(f))}:
         divisors = [1]
         for p, e in poly2.factor_int((1 << d) - 1).items():
             divisors = [q * p**k for q in divisors for k in range(e + 1)]
@@ -154,7 +154,7 @@ def realize_xi(targets) -> GammaCombination:
     """A formal combination whose xi equals the given set of doubled odd numbers.
 
     Target 2u needs an irreducible of degree ord_u(2); the degrees are
-    checked against the REALIZE_* limits before any search.
+    checked against REALIZE_DEGREE_LIMIT and the trial-division limit first.
     """
     degrees = {}
     for t in sorted(set(targets)):
@@ -164,8 +164,8 @@ def realize_xi(targets) -> GammaCombination:
         degrees[u] = next((d for d in range(1, REALIZE_DEGREE_LIMIT + 1) if pow(2, d, u) == 1 % u), None)
         if degrees[u] is None:
             raise BoundExceededError(f"target {t} needs the degree ord_{u}(2) > {REALIZE_DEGREE_LIMIT}")
-    if len(degrees) > 1 and sorted(degrees.values())[-2] > REALIZE_COFACTOR_DEGREE_LIMIT:
-        raise BoundExceededError(f"targets need two irreducibles of degree > {REALIZE_COFACTOR_DEGREE_LIMIT}")
+    if len(degrees) > 1 and sorted(degrees.values())[-2] > poly2.TRIAL_DIVISION_LIMIT:
+        raise BoundExceededError(f"targets need two irreducibles of degree > {poly2.TRIAL_DIVISION_LIMIT}")
     F = ONE
     for u in degrees:
         F = F * find_irreducible_of_order(u)
@@ -270,6 +270,11 @@ def kappa_flip_predicate(x: BitVector, i: int) -> int:
     return 0
 
 
+def combo_dict(c: GammaCombination | None) -> dict | None:
+    """Both spellings of a combination, as the reports print them."""
+    return None if c is None else {"gamma": c.gamma_string(), "poly": c.poly_string()}
+
+
 @dataclass
 class AnalysisReport:
     """Bundle of everything analyze() derives about one combination."""
@@ -286,16 +291,12 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         """JSON-ready tree with stable key names."""
-
-        def combo(c):
-            return None if c is None else {"gamma": c.gamma_string(), "poly": c.poly_string()}
-
         return {
             "n": self.n,
-            "f": combo(self.f),
+            "f": combo_dict(self.f),
             "is_permutation": self.is_permutation,
             "gcd_witness": self.gcd_witness.to_string(),
-            "inverse": combo(self.inverse),
+            "inverse": combo_dict(self.inverse),
             "xi": list(self.xi),
             "degree": self.algebraic_degree,
             "inverse_degree": self.inverse_degree,

@@ -21,10 +21,10 @@ import os
 import sys
 
 from . import analysis, ring, tables
+from .analysis import combo_dict
 from .gammaspan import GammaCombination, compose, phi
-from .poly2 import BinPoly
-from .ring import Modulus, NonUnitError, reduce, unit_group_order
-from .tables import BoundExceededError
+from .poly2 import BinPoly, BoundExceededError
+from .ring import Modulus, NonUnitError, unit_group_order
 
 TABLE1_DIMENSIONS = (8, 10, 14, 16)
 
@@ -91,10 +91,6 @@ def _parse_combination(args, n=None) -> GammaCombination:
     return GammaCombination(BinPoly.parse(args.poly).bits, n)
 
 
-def _combo_dict(c: GammaCombination) -> dict:
-    return {"gamma": c.gamma_string(), "poly": c.poly_string()}
-
-
 def _emit(pairs, as_json: bool) -> None:
     if as_json:
         print(json.dumps(dict(pairs), indent=2))
@@ -134,10 +130,7 @@ def _run_invert(args) -> int:
             file=sys.stderr,
         )
         return 1
-    _emit(
-        [("n", args.n), ("f", _combo_dict(f)), ("inverse", _combo_dict(inv))],
-        args.json,
-    )
+    _emit([("n", args.n), ("f", combo_dict(f)), ("inverse", combo_dict(inv))], args.json)
     return 0
 
 
@@ -145,15 +138,8 @@ def _run_compose(args) -> int:
     f = _parse_combination(args, args.n)
     g = GammaCombination.parse(args.g, args.n)
     result = compose(f, g)
-    _emit(
-        [
-            ("n", args.n),
-            ("f", _combo_dict(f)),
-            ("g", _combo_dict(g)),
-            ("composition", _combo_dict(result)),
-        ],
-        args.json,
-    )
+    pairs = [("n", args.n), ("f", combo_dict(f)), ("g", combo_dict(g)), ("composition", combo_dict(result))]
+    _emit(pairs, args.json)
     return 0
 
 
@@ -161,10 +147,7 @@ def _run_xi(args) -> int:
     f = _parse_combination(args, None)
     values = sorted(analysis.xi(f))
     bound = sorted(analysis.xi_upper_bound(f))
-    _emit(
-        [("f", _combo_dict(f)), ("xi", values), ("xi_upper_bound", bound)],
-        args.json,
-    )
+    _emit([("f", combo_dict(f)), ("xi", values), ("xi_upper_bound", bound)], args.json)
     return 0
 
 
@@ -173,7 +156,7 @@ def _run_enumerate(args) -> int:
     tables.check_limit(mod.degree, tables.BIJECTIVITY_LIMIT, "unit enumeration")
     perms = []
     for mask in range(1, 1 << mod.degree, 2):
-        if ring.is_unit(reduce(BinPoly(mask), mod)):
+        if ring.is_unit(BinPoly(mask), mod):
             perms.append(GammaCombination(mask, args.n))
     count = unit_group_order(mod)
     assert len(perms) == count, "unit enumeration disagrees with the order formula"
@@ -191,7 +174,7 @@ def _run_enumerate(args) -> int:
 def _run_du(args) -> int:
     f = _parse_combination(args, args.n)
     value = analysis.differential_uniformity(f, limit=args.max_du)
-    _emit([("n", args.n), ("f", _combo_dict(f)), ("differential_uniformity", value)], args.json)
+    _emit([("n", args.n), ("f", combo_dict(f)), ("differential_uniformity", value)], args.json)
     return 0
 
 
@@ -199,7 +182,7 @@ def _run_table1(args) -> int:
     rows = []
     for n in TABLE1_DIMENSIONS:
         closed = analysis.kappa_inverse_closed_form(n)
-        lifted = ring.ring_inverse(phi(GammaCombination(0b111, n))).rep
+        lifted = ring.ring_inverse(phi(GammaCombination(0b111, n)), Modulus(n))
         assert closed == lifted, f"closed form disagrees with the ring inverse at n={n}"
         rows.append((n, closed.to_string()))
     if args.json:
@@ -214,10 +197,7 @@ def _run_table1(args) -> int:
 def _run_realize(args) -> int:
     targets = sorted(int(t) for t in args.targets.split(","))
     f = analysis.realize_xi(targets)
-    _emit(
-        [("targets", targets), ("f", _combo_dict(f)), ("xi", sorted(analysis.xi(f)))],
-        args.json,
-    )
+    _emit([("targets", targets), ("f", combo_dict(f)), ("xi", sorted(analysis.xi(f)))], args.json)
     return 0
 
 

@@ -9,7 +9,8 @@ dimension and bound later with .at(n).
 
 phi and psi translate between combinations and residues of the ring
 for the same dimension: the coefficient of gamma(2k) becomes the
-coefficient of X^k.  Under this translation, composition of maps is
+coefficient of X^k, and a residue is its canonical representative, as
+a bound mask is.  Under this translation, composition of maps is
 multiplication of residues, as long as the inner map lies in the
 identity coset (constant coefficient 1); compose() computes through
 the ring, while compose_oracle() tabulates the functional composition
@@ -21,7 +22,7 @@ from __future__ import annotations
 from . import tables
 from .bitstate import BitVector, eval_gamma
 from .poly2 import BinPoly
-from .ring import Modulus, RingElement, reduce_bits, ring_mul
+from .ring import Modulus, reduce_bits, ring_mul
 
 
 class GammaCombination:
@@ -39,11 +40,17 @@ class GammaCombination:
 
     @classmethod
     def from_indices(cls, ks, n: int | None = None) -> "GammaCombination":
-        """Build from k-indices (gamma subscripts divided by 2); duplicates cancel."""
+        """Build from k-indices (gamma subscripts divided by 2); duplicates cancel.
+        Given n, each index moves to its canonical position before its bit is set."""
+        mod = None if n is None else Modulus(n)
         mask = 0
         for k in ks:
             if k < 0:
                 raise ValueError("gamma indices must be nonnegative")
+            if mod is not None and k >= mod.degree:
+                if n % 2:
+                    continue
+                k = n // 2 + k % (n // 2)
             mask ^= 1 << k
         return cls(mask, n)
 
@@ -89,10 +96,6 @@ class GammaCombination:
         """Bind the stored coefficients to dimension n (canonicalizing them)."""
         return GammaCombination(self.mask, n)
 
-    def unbound(self) -> "GammaCombination":
-        """The formal combination with the same coefficients."""
-        return GammaCombination(self.mask, None)
-
     def poly(self) -> BinPoly:
         """The coefficient polynomial: gamma(2k) contributes X^k."""
         return BinPoly(self.mask)
@@ -104,9 +107,6 @@ class GammaCombination:
 
     def poly_string(self) -> str:
         return self.poly().to_string()
-
-    def evaluate(self, x: BitVector) -> BitVector:
-        return evaluate(self, x)
 
     def __add__(self, other):
         if self.n != other.n:
@@ -160,17 +160,17 @@ def evaluate(f: GammaCombination, x: BitVector) -> BitVector:
     return BitVector(x.n, out)
 
 
-def phi(f: GammaCombination) -> RingElement:
-    """The residue of the coefficient polynomial in the ring for dimension f.n;
-    a bound mask is already canonical, reduced when the combination was built."""
+def phi(f: GammaCombination) -> BinPoly:
+    """The residue of the coefficient polynomial in the ring for dimension f.n:
+    the bound mask, canonical since the combination was built."""
     if f.n is None:
         raise ValueError("bind the combination to a dimension first, e.g. f.at(n)")
-    return RingElement(Modulus(f.n), f.poly())
+    return f.poly()
 
 
-def psi(a: RingElement) -> GammaCombination:
-    """The combination whose coefficient polynomial is the representative of a."""
-    return GammaCombination(a.rep.bits, a.modulus.n)
+def psi(a: BinPoly, mod: Modulus) -> GammaCombination:
+    """The combination on dimension mod.n with the coefficients of a, reduced."""
+    return GammaCombination(a.bits, mod.n)
 
 
 def compose(f: GammaCombination, g: GammaCombination) -> GammaCombination:
@@ -186,7 +186,8 @@ def compose(f: GammaCombination, g: GammaCombination) -> GammaCombination:
         raise ValueError("inner map must contain gamma(0) for composition to stay in the span")
     if f.n is None:
         return GammaCombination((f.poly() * g.poly()).bits, None)
-    return psi(ring_mul(phi(f), phi(g)))
+    mod = Modulus(f.n)
+    return psi(ring_mul(phi(f), phi(g), mod), mod)
 
 
 def compose_oracle(f: GammaCombination, g: GammaCombination, limit: int = tables.ORACLE_LIMIT):

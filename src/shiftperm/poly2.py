@@ -29,6 +29,13 @@ import itertools
 from math import gcd as int_gcd, isqrt, lcm, prod
 
 
+TRIAL_DIVISION_LIMIT = 16  # factor tries irreducible divisors up to this degree: seconds at most
+
+
+class BoundExceededError(ValueError):
+    """A search or an exhaustive scan would exceed its configured size limit."""
+
+
 class BinPoly:
     """Immutable binary polynomial, little-endian bit-packed."""
 
@@ -337,7 +344,8 @@ def factor(f: BinPoly) -> tuple:
     derivative means the polynomial is a perfect square), then trial
     division of the squarefree parts by enumerated irreducibles of
     increasing degree, short-circuiting once the cofactor is itself
-    irreducible.
+    irreducible.  A composite cofactor with no factor of degree up to
+    TRIAL_DIVISION_LIMIT raises BoundExceededError.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -370,6 +378,9 @@ def _split_squarefree(wb: int) -> list:
             out.append(wb)
             break
         while 2 * d <= wb.bit_length() - 1:
+            if d > TRIAL_DIVISION_LIMIT:
+                # wb is composite and has no factor of degree <= the limit
+                raise BoundExceededError(f"the polynomial has two irreducible factors of degree > {TRIAL_DIVISION_LIMIT}")
             progressed = False
             for g in irreducible_polys(d):
                 q, r = _divmod_bits(wb, g.bits)

@@ -5,9 +5,11 @@ For dimension n the modulus polynomial is
     X^((n+1)/2)   for odd n,
     X^n + X^(n/2) for even n,
 
-and RingElement holds the fully reduced representative of a coset.
-Multiplication of residues corresponds to composition of the associated
-maps on F_2^n; units correspond to the bijective ones.
+and a coset is held by its canonical representative, the BinPoly of
+degree below that of the modulus.  Every function here accepts any
+representative and returns the canonical one.  Multiplication of
+residues corresponds to composition of the associated maps on F_2^n;
+units correspond to the bijective ones.
 
 The arithmetic uses the shape of the modulus.  With h = n/2 and
 n = 2^s * m (m odd), the even modulus splits into the coprime parts
@@ -56,7 +58,7 @@ class NonUnitError(ValueError):
 
 @dataclass(frozen=True)
 class Modulus:
-    """The residue ring modulus for dimension n, with its 2-adic split n = 2^s * m."""
+    """The residue ring modulus for dimension n, with the odd part m of n = 2^s * m."""
 
     n: int
 
@@ -82,34 +84,6 @@ class Modulus:
             m //= 2
         return m
 
-    @property
-    def two_adic(self) -> int:
-        """The exponent s in n = 2^s * m."""
-        return (self.n // self.odd_part).bit_length() - 1
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """A coset, stored by its canonical representative of degree < deg(modulus)."""
-
-    modulus: Modulus
-    rep: BinPoly
-
-    def __post_init__(self):
-        if self.rep.degree >= self.modulus.degree:
-            raise ValueError("representative is not reduced; build via reduce()")
-
-    def __mul__(self, other):
-        return ring_mul(self, other)
-
-    def __add__(self, other):
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        return RingElement(self.modulus, self.rep + other.rep)
-
-    def __str__(self):
-        return f"[{self.rep}] mod {self.modulus.poly}"
-
 
 def _fold(a: int, width: int) -> int:
     """a mod X^width + 1: XOR-fold at doubling multiples w of width, where X^w = 1."""
@@ -130,13 +104,9 @@ def reduce_bits(a: int, n: int) -> int:
     return (a & ((1 << h) - 1)) ^ (_fold(a >> h, h) << h)
 
 
-def reduce(f: BinPoly, mod: Modulus) -> RingElement:
+def reduce(f: BinPoly, mod: Modulus) -> BinPoly:
     """Canonical representative of the coset of f."""
-    return RingElement(mod, BinPoly(reduce_bits(f.bits, mod.n)))
-
-
-def ring_one(mod: Modulus) -> RingElement:
-    return RingElement(mod, ONE)
+    return BinPoly(reduce_bits(f.bits, mod.n))
 
 
 def _crt(lo: int, hi: int, h: int) -> int:
@@ -145,19 +115,17 @@ def _crt(lo: int, hi: int, h: int) -> int:
     return lo ^ ((lo ^ hi) << h)
 
 
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Product of cosets, fully reduced; on even n from its residues mod
-    X^h and mod X^h + 1, two products of h-bit operands."""
-    if a.modulus != b.modulus:
-        raise ValueError("modulus mismatch")
-    n, f, g = a.modulus.n, a.rep.bits, b.rep.bits
-    if n % 2:
-        return reduce(a.rep * b.rep, a.modulus)
-    h = n // 2
+def ring_mul(a: BinPoly, b: BinPoly, mod: Modulus) -> BinPoly:
+    """Canonical product of cosets: mod X^((n+1)/2) on odd n; on even n from
+    its residues mod X^h and mod X^h + 1, two products of h-bit operands."""
+    n, f, g = mod.n, a.bits, b.bits
+    h = (n + 1) // 2
     low = (1 << h) - 1
     lo = _clmul(f & low, g & low) & low
+    if n % 2:
+        return BinPoly(lo)
     hi = _fold(_clmul(_fold(f, h), _fold(g, h)), h)
-    return RingElement(a.modulus, BinPoly(_crt(lo, hi, h)))
+    return BinPoly(_crt(lo, hi, h))
 
 
 def odd_part_gcd(f: BinPoly, mod: Modulus) -> BinPoly:
@@ -170,11 +138,9 @@ def odd_part_gcd(f: BinPoly, mod: Modulus) -> BinPoly:
     return poly2.gcd(BinPoly(_fold(f.bits, m)), x_power(m) + ONE)
 
 
-def is_unit(a: RingElement) -> bool:
-    """True iff the representative is coprime to the modulus."""
-    return a.rep.constant_term == 1 and (
-        a.modulus.n % 2 == 1 or odd_part_gcd(a.rep, a.modulus) == ONE
-    )
+def is_unit(a: BinPoly, mod: Modulus) -> bool:
+    """True iff a is coprime to the modulus."""
+    return a.constant_term == 1 and (mod.n % 2 == 1 or odd_part_gcd(a, mod) == ONE)
 
 
 def _inverse_mod_x_power(f: int, k: int) -> int:
@@ -187,24 +153,24 @@ def _inverse_mod_x_power(f: int, k: int) -> int:
     return u
 
 
-def ring_inverse(a: RingElement) -> RingElement:
+def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
     """Multiplicative inverse of a unit, lifted from its inverses modulo the
     coprime parts of the modulus (see the module docstring)."""
-    mod, f = a.modulus, a.rep.bits
+    f = reduce_bits(a.bits, mod.n)
     if not f & 1:
-        raise _non_unit(a, _witness(f, mod))
+        raise _non_unit(f, mod, _witness(f, mod))
     if mod.n % 2:
-        return RingElement(mod, BinPoly(_inverse_mod_x_power(f, mod.degree)))
+        return BinPoly(_inverse_mod_x_power(f, mod.degree))
     h, m = mod.n // 2, mod.odd_part
     g, u, _ = poly2.ext_gcd(BinPoly(_fold(f, m)), x_power(m) + ONE)
     if g != ONE:
         # f is coprime to X^h, so gcd(f, modulus) = gcd(f, X^h + 1)
-        raise _non_unit(a, _odd_witness(f, g.bits, mod))
+        raise _non_unit(f, mod, _odd_witness(f, g.bits, mod))
     hi, w = u.bits, m
     while w < h:
         w *= 2
         hi = _fold(_clmul(_fold(f, w), _square(hi)), w)
-    return RingElement(mod, BinPoly(_crt(_inverse_mod_x_power(f, h), hi, h)))
+    return BinPoly(_crt(_inverse_mod_x_power(f, h), hi, h))
 
 
 def _witness(f: int, mod: Modulus) -> int:
@@ -239,8 +205,8 @@ def _odd_witness(f: int, g: int, mod: Modulus) -> int:
     return _gcd_bits(spread, rest)
 
 
-def _non_unit(a: RingElement, g: int) -> NonUnitError:
-    return NonUnitError(BinPoly(g), f"not a unit for n = {a.modulus.n}: degree {a.rep.degree}, gcd degree {g.bit_length() - 1}")
+def _non_unit(f: int, mod: Modulus, g: int) -> NonUnitError:
+    return NonUnitError(BinPoly(g), f"not a unit for n = {mod.n}: degree {f.bit_length() - 1}, gcd degree {g.bit_length() - 1}")
 
 
 def unit_group_order(mod: Modulus) -> int:

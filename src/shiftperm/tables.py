@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .poly2 import BoundExceededError
+
 BIJECTIVITY_LIMIT = 20
 ORACLE_LIMIT = 16
 DU_LIMIT = 14
 DU_CEILING = 16  # largest n for any DDT scan: kappa takes about 1 s at n = 16, 15 s at 18
 DDT_BATCH = 1 << 15  # input pairs per bincount in ddt_max
-
-
-class BoundExceededError(ValueError):
-    """An exhaustive scan would exceed its configured size limit."""
 
 
 def check_ceiling(limit: int, what: str) -> None:

@@ -59,7 +59,7 @@ def test_criterion_1_table1_reproduction():
     with criterion(1, "table1 via closed form and Euclid"):
         for n, coeffs in TABLE1.items():
             assert kappa_inverse_closed_form(n).to_string() == coeffs, n
-            assert ring_inverse(phi(kappa(n))).rep.to_string() == coeffs, n
+            assert ring_inverse(phi(kappa(n)), Modulus(n)).to_string() == coeffs, n
 
 
 def test_criterion_2_kappa_permutation_window():
@@ -93,7 +93,7 @@ def test_criterion_5_isomorphism_suite():
             for fm in monoid_masks(n):
                 for gm in monoid_masks(n):
                     c = compose(GammaCombination(fm, n), GammaCombination(gm, n))
-                    assert phi(c) == ring_mul(residues[fm], residues[gm]), (n, fm, gm)
+                    assert phi(c) == ring_mul(residues[fm], residues[gm], Modulus(n)), (n, fm, gm)
                     assert np.array_equal(tbls[c.mask], tbls[fm][tbls[gm]]), (n, fm, gm)
 
 
@@ -153,7 +153,7 @@ def test_criterion_10_closed_form_vs_euclid():
             if n % 6 == 0:
                 continue
             closed = kappa_inverse_closed_form(n)
-            assert closed == ring_inverse(phi(kappa(n))).rep, n
+            assert closed == ring_inverse(phi(kappa(n)), Modulus(n)), n
             if n % 2 == 0:
                 s = closed.to_string()
                 assert s == s[::-1], n

@@ -23,7 +23,7 @@ from shiftperm.analysis import (
 from shiftperm.bitstate import BitVector
 from shiftperm.gammaspan import GammaCombination, chi, compose, evaluate, gamma_term, identity, kappa, phi
 from shiftperm.poly2 import BinPoly, ONE, ZERO
-from shiftperm.ring import NonUnitError, ring_inverse
+from shiftperm.ring import Modulus, NonUnitError, ring_inverse
 from shiftperm.tables import BoundExceededError
 
 from checks import (
@@ -439,7 +439,7 @@ class TestKappaClosedForm:
         for n in range(4, 65):
             if n % 6 == 0:
                 continue
-            assert kappa_inverse_closed_form(n) == ring_inverse(phi(kappa(n))).rep, n
+            assert kappa_inverse_closed_form(n) == ring_inverse(phi(kappa(n)), Modulus(n)), n
 
     def test_palindrome_for_even_dimensions(self):
         for n in range(4, 65, 2):

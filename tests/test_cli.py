@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftperm.cli import main
+from shiftperm.poly2 import BinPoly
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -71,6 +72,13 @@ class TestAnalyze:
         assert code == 3 and "ceiling" in err
 
 
+    def test_huge_index_matches_its_canonical_position(self, capsys):
+        # k = 10^10 wraps to 4 + (10^10 mod 4) = 4 on n = 8, with no 10^10-bit mask
+        huge = run(capsys, "analyze", "--n", "8", "--f", "0,10000000000")
+        assert huge == run(capsys, "analyze", "--n", "8", "--f", "0,4")
+        assert huge[0] == 0
+
+
 class TestInvert:
     def test_success(self, capsys):
         code, out, _ = run(capsys, "invert", "--n", "8", "--poly", "111", "--json")
@@ -111,6 +119,13 @@ class TestXiVerb:
         code, out, _ = run(capsys, "xi", "--poly", "1101", "--json")
         d = json.loads(out)
         assert d["xi"] == [14] and d["xi_upper_bound"] == [2, 14]
+
+    def test_two_large_factors_exit_3(self, capsys):
+        # trial division stops after degree 16; 1 + X^3 + X^17 and 1 + X^5 + X^17 are irreducible
+        f = BinPoly.from_exponents([0, 3, 17]) * BinPoly.from_exponents([0, 5, 17])
+        code, out, err = run(capsys, "xi", "--poly", f.to_string())
+        assert (code, out) == (3, "")
+        assert err == "the polynomial has two irreducible factors of degree > 16\n"
 
 
 class TestEnumerate:

@@ -93,6 +93,16 @@ class TestCanonicalize:
         assert GammaCombination.parse("g20000000", 8) == gamma_term(4, 8)
         assert GammaCombination.parse("g20000000", 9).is_zero
 
+    def test_huge_index_builds_no_huge_mask(self):
+        # 1 << 10^10 would take 1.25 GB: each index moves to its canonical
+        # position first; 10^10 mod 30000 = 10000
+        for n, canonical in ((8, [0, 4]), (9, [0]), (60000, [0, 40000])):
+            c = GammaCombination.from_indices([0, 10**10], n)
+            assert c == GammaCombination.from_indices(canonical, n), n
+        # duplicates still cancel after the move
+        assert GammaCombination.from_indices([4, 10**10], 8).is_zero
+        assert GammaCombination.from_indices([10**10, 10**10 + 4], 8).is_zero
+
     def test_canonicalization_preserves_function(self):
         for n in range(1, 9):
             for k in range(2 * n + 2):
@@ -168,23 +178,23 @@ class TestEvaluate:
 
 class TestPhiPsi:
     def test_examples(self):
-        assert phi(chi(12)).rep == BinPoly.parse("11")
-        assert phi(identity(9)).rep == BinPoly(1)
-        assert phi(GammaCombination.from_indices([0, 1, 3], 22)).rep == BinPoly.parse("1101")
-        assert psi(reduce(BinPoly(1), Modulus(6))) == identity(6)
-        assert psi(reduce(BinPoly.parse("111"), Modulus(9))) == kappa(9)
-        assert psi(reduce(BinPoly.from_exponents([0, 3, 12]), Modulus(26))).indices == (0, 3, 12)
+        assert phi(chi(12)) == BinPoly.parse("11")
+        assert phi(identity(9)) == BinPoly(1)
+        assert phi(GammaCombination.from_indices([0, 1, 3], 22)) == BinPoly.parse("1101")
+        assert psi(reduce(BinPoly(1), Modulus(6)), Modulus(6)) == identity(6)
+        assert psi(reduce(BinPoly.parse("111"), Modulus(9)), Modulus(9)) == kappa(9)
+        assert psi(reduce(BinPoly.from_exponents([0, 3, 12]), Modulus(26)), Modulus(26)).indices == (0, 3, 12)
 
     def test_mutually_inverse_exhaustive(self):
         for n in range(1, 11):
             for mask in span_masks(n):
                 f = GammaCombination(mask, n)
-                assert psi(phi(f)) == f
+                assert psi(phi(f), Modulus(n)) == f
         for n in (4, 7):
             mod = Modulus(n)
             for v in range(1 << mod.degree):
                 el = reduce(BinPoly(v), mod)
-                assert phi(psi(el)) == el
+                assert phi(psi(el, mod)) == el
 
     def test_formal_needs_binding(self):
         with pytest.raises(ValueError):
@@ -229,7 +239,7 @@ class TestCompose:
             for fm in monoid_masks(n):
                 for gm in monoid_masks(n):
                     f, g = GammaCombination(fm, n), GammaCombination(gm, n)
-                    assert phi(compose(f, g)) == ring_mul(phi(f), phi(g))
+                    assert phi(compose(f, g)) == ring_mul(phi(f), phi(g), Modulus(n))
 
     def test_commutative_on_monoid(self):
         for n in range(1, 7):
@@ -263,7 +273,7 @@ class TestCompose:
         from shiftperm.ring import ring_inverse
 
         k = kappa(8)
-        kinv = psi(ring_inverse(phi(k)))
+        kinv = psi(ring_inverse(phi(k), Modulus(8)), Modulus(8))
         assert np.array_equal(compose_oracle(k, kinv), tables.domain(8))
         assert np.array_equal(compose_oracle(kinv, k), tables.domain(8))
 

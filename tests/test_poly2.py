@@ -10,6 +10,7 @@ from shiftperm.poly2 import (
     X,
     ZERO,
     BinPoly,
+    BoundExceededError,
     ext_gcd,
     factor,
     factor_int,
@@ -235,6 +236,17 @@ class TestFactor:
             for g, e in fac:
                 assert is_irreducible(g) or g.degree == 1
                 assert e >= 1
+
+    def test_two_factors_past_the_trial_division_limit(self, monkeypatch):
+        # trial division stops before degree limit + 1, where the cofactor is
+        # composite with no smaller factor: two irreducibles above the limit
+        monkeypatch.setattr(poly2, "TRIAL_DIVISION_LIMIT", 6)
+        g1, g2 = P("11000001"), P("10010001")  # 1 + X + X^7 and 1 + X^3 + X^7
+        assert is_irreducible(g1) and is_irreducible(g2)
+        with pytest.raises(BoundExceededError, match="two irreducible factors of degree > 6"):
+            factor(g1 * g2 * P("111"))
+        # one factor above the limit is the irreducible cofactor
+        assert factor(g1 * P("111") ** 2) == ((P("111"), 2), (g1, 1))
 
     def test_factors_sorted_and_distinct(self):
         fac = factor(P("11") * P("111") ** 2 * x_power(2))

@@ -8,12 +8,10 @@ from shiftperm.poly2 import BinPoly, ONE, ZERO, X, factor, x_power
 from shiftperm.ring import (
     Modulus,
     NonUnitError,
-    RingElement,
     is_unit,
     reduce,
     ring_inverse,
     ring_mul,
-    ring_one,
     unit_group_order,
 )
 
@@ -39,7 +37,7 @@ class TestModulus:
     def test_two_adic_split(self):
         for n, m, s in [(5, 5, 0), (6, 3, 1), (8, 1, 3), (12, 3, 2), (48, 3, 4), (1, 1, 0)]:
             mod = Modulus(n)
-            assert (mod.odd_part, mod.two_adic) == (m, s), n
+            assert mod.odd_part == m, n
             assert n == (1 << s) * m
 
     def test_bad_dimension(self):
@@ -49,47 +47,67 @@ class TestModulus:
 
 class TestReduceAndMul:
     def test_reduce_examples(self):
-        assert reduce(x_power(6), Modulus(6)).rep == x_power(3)
-        assert reduce(ZERO, Modulus(6)).rep == ZERO
-        assert reduce(BinPoly.from_exponents([0, 4, 8]), Modulus(8)).rep == ONE
+        assert reduce(x_power(6), Modulus(6)) == x_power(3)
+        assert reduce(ZERO, Modulus(6)) == ZERO
+        assert reduce(BinPoly.from_exponents([0, 4, 8]), Modulus(8)) == ONE
 
     def test_reduce_is_idempotent(self):
         mod = Modulus(9)
         for v in range(1 << 7):
             r = reduce(BinPoly(v), mod)
-            assert reduce(r.rep, mod) == r
+            assert reduce(r, mod) == r
 
-    def test_unreduced_representative_rejected(self):
-        with pytest.raises(ValueError):
-            RingElement(Modulus(5), x_power(3))
+    def test_any_representative_gives_the_canonical_result(self):
+        # f + q * modulus for a random q of up to 2n bits: representatives of up to 3n bits
+        rng = random.Random(20)
+        for n in FOLD_DIMENSIONS:
+            mod = Modulus(n)
+            for _ in range(4):
+                a, b = (BinPoly(rng.getrandbits(mod.degree)) for _ in range(2))
+                a_, b_ = (f + BinPoly(rng.getrandbits(2 * n)) * mod.poly for f in (a, b))
+                assert ring_mul(a_, b_, mod) == ring_mul(a, b, mod) == a * b % mod.poly, n
+                assert is_unit(a_, mod) == is_unit(a, mod), n
+                if is_unit(a, mod):
+                    assert ring_inverse(a_, mod) == ring_inverse(a, mod), n
+                    continue
+                with pytest.raises(NonUnitError) as canonical:
+                    ring_inverse(a, mod)
+                with pytest.raises(NonUnitError) as info:
+                    ring_inverse(a_, mod)
+                assert info.value.witness == canonical.value.witness, n
+                assert str(info.value) == str(canonical.value), n
+
+    def test_inverse_of_a_multiple_of_the_odd_modulus(self):
+        # X^((n+1)/2) is the odd modulus itself, the coset of 0: the witness is the modulus
+        for n in (1, 3, 5, 9, 1001):
+            mod = Modulus(n)
+            with pytest.raises(NonUnitError) as info:
+                ring_inverse(x_power((n + 1) // 2), mod)
+            assert info.value.witness == mod.poly, n
 
     def test_mul_examples(self):
         big = Modulus(20)
-        assert ring_mul(reduce(P("11"), big), reduce(P("11"), big)).rep == P("101")
+        assert ring_mul(reduce(P("11"), big), reduce(P("11"), big), big) == P("101")
         m8 = Modulus(8)
-        assert ring_mul(reduce(P("111"), m8), reduce(P("1101011"), m8)).rep == ONE
+        assert ring_mul(reduce(P("111"), m8), reduce(P("1101011"), m8), m8) == ONE
         a = reduce(P("1011"), m8)
-        assert ring_mul(a, ring_one(m8)) == a
+        assert ring_mul(a, ONE, m8) == a
 
     def test_mul_ring_axioms_small(self):
         mod = Modulus(6)
         elems = [reduce(BinPoly(v), mod) for v in range(1 << 6)]
         for a in elems[:16]:
             for b in elems[:16]:
-                assert ring_mul(a, b) == ring_mul(b, a)
+                assert ring_mul(a, b, mod) == ring_mul(b, a, mod)
                 for c in elems[:8]:
-                    assert ring_mul(ring_mul(a, b), c) == ring_mul(a, ring_mul(b, c))
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            ring_mul(reduce(ONE, Modulus(6)), reduce(ONE, Modulus(8)))
+                    assert ring_mul(ring_mul(a, b, mod), c, mod) == ring_mul(a, ring_mul(b, c, mod), mod)
 
 
 class TestUnits:
     def test_examples(self):
-        assert not is_unit(reduce(P("11"), Modulus(6)))
-        assert is_unit(ring_one(Modulus(6)))
-        assert is_unit(reduce(P("111"), Modulus(8)))
+        assert not is_unit(reduce(P("11"), Modulus(6)), Modulus(6))
+        assert is_unit(ONE, Modulus(6))
+        assert is_unit(reduce(P("111"), Modulus(8)), Modulus(8))
 
     def test_unit_criterion_by_parity(self):
         # odd n: unit iff constant term 1; even n = 2^s m: also coprime to 1+X^m
@@ -99,48 +117,46 @@ class TestUnits:
             for v in range(1 << mod.degree):
                 el = reduce(BinPoly(v), mod)
                 if n % 2:
-                    expected = el.rep.constant_term == 1
+                    expected = el.constant_term == 1
                 else:
                     expected = (
-                        el.rep.constant_term == 1
-                        and poly2.gcd(el.rep, check) == ONE
+                        el.constant_term == 1
+                        and poly2.gcd(el, check) == ONE
                     )
-                assert is_unit(el) == expected, (n, v)
+                assert is_unit(el, mod) == expected, (n, v)
 
     def test_unit_iff_inverse_exists_bruteforce(self):
         for n in range(1, 9):
             mod = Modulus(n)
             size = 1 << mod.degree
             elems = [reduce(BinPoly(v), mod) for v in range(size)]
-            one = ring_one(mod)
             for a in elems:
-                found = any(ring_mul(a, b) == one for b in elems)
-                assert found == is_unit(a), (n, a)
+                found = any(ring_mul(a, b, mod) == ONE for b in elems)
+                assert found == is_unit(a, mod), (n, a)
 
     def test_inverse_roundtrip_exhaustive(self):
         for n in range(1, 11):
             mod = Modulus(n)
-            one = ring_one(mod)
             for v in range(1 << mod.degree):
                 el = reduce(BinPoly(v), mod)
-                if is_unit(el):
-                    assert ring_mul(el, ring_inverse(el)) == one, (n, v)
+                if is_unit(el, mod):
+                    assert ring_mul(el, ring_inverse(el, mod), mod) == ONE, (n, v)
 
     def test_inverse_examples(self):
-        assert ring_inverse(reduce(P("111"), Modulus(5))).rep == P("11")
-        assert ring_inverse(ring_one(Modulus(7))) == ring_one(Modulus(7))
-        assert ring_inverse(reduce(P("111"), Modulus(10))).rep == P("110111011")
+        assert ring_inverse(reduce(P("111"), Modulus(5)), Modulus(5)) == P("11")
+        assert ring_inverse(ONE, Modulus(7)) == ONE
+        assert ring_inverse(reduce(P("111"), Modulus(10)), Modulus(10)) == P("110111011")
 
     def test_non_unit_carries_witness(self):
         with pytest.raises(NonUnitError) as info:
-            ring_inverse(reduce(P("11"), Modulus(6)))
+            ring_inverse(reduce(P("11"), Modulus(6)), Modulus(6))
         assert info.value.witness == P("11")
 
     def test_non_unit_message_gives_degrees_only(self):
         # the message stays short at large n: no polynomial is rendered
         f = x_power(30000) + ONE
         with pytest.raises(NonUnitError) as info:
-            ring_inverse(reduce(f, Modulus(60000)))
+            ring_inverse(reduce(f, Modulus(60000)), Modulus(60000))
         assert info.value.witness == f
         assert str(info.value) == "not a unit for n = 60000: degree 30000, gcd degree 30000"
 
@@ -155,7 +171,7 @@ class TestFoldedArithmetic:
             mod = Modulus(n)
             for length in (0, 1, n // 2, n, n + 1, 2 * n, 3 * n):
                 f = BinPoly(rng.getrandbits(length))
-                assert reduce(f, mod).rep == f % mod.poly, (n, length)
+                assert reduce(f, mod) == f % mod.poly, (n, length)
 
     def test_inverse_matches_euclid(self):
         rng = random.Random(22)
@@ -165,18 +181,17 @@ class TestFoldedArithmetic:
                 for j in range(6):
                     f = BinPoly(rng.getrandbits(mod.degree) & ~1 | constant)
                     # a factor (1 + X)^e, 0 < e < 2^(s+1), gives non-units of every multiplicity
-                    e = rng.randrange(1, 2 << mod.two_adic) if j % 2 else 0
+                    e = rng.randrange(1, 2 * (n // mod.odd_part)) if j % 2 else 0
                     f = f * P("11") ** e % mod.poly
                     g, u, _ = poly2.ext_gcd(f, mod.poly)
-                    el = RingElement(mod, f)
                     if g == ONE:
-                        assert ring_inverse(el).rep == u % mod.poly, (n, f)
-                        assert is_unit(el)
+                        assert ring_inverse(f, mod) == u % mod.poly, (n, f)
+                        assert is_unit(f, mod)
                     else:
                         with pytest.raises(NonUnitError) as info:
-                            ring_inverse(el)
+                            ring_inverse(f, mod)
                         assert info.value.witness == poly2.gcd(f, mod.poly), (n, f)
-                        assert not is_unit(el)
+                        assert not is_unit(f, mod)
 
     def test_mul_matches_shift_and_add(self):
         # on even n the product is joined from its residues mod X^h and X^h + 1
@@ -186,7 +201,7 @@ class TestFoldedArithmetic:
             for _ in range(2 if n > 5144 else 6):
                 a, b = (BinPoly(rng.getrandbits(mod.degree)) for _ in range(2))
                 expect = BinPoly(shift_and_add(a.bits, b.bits)) % mod.poly
-                assert ring_mul(RingElement(mod, a), RingElement(mod, b)).rep == expect, n
+                assert ring_mul(a, b, mod) == expect, n
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_witness_matches_gcd(self, s):
@@ -203,7 +218,7 @@ class TestFoldedArithmetic:
                     f = BinPoly(rng.getrandbits(mod.degree) | 1) * factor**e
                     f = (f << v) % mod.poly
                     with pytest.raises(NonUnitError) as info:
-                        ring_inverse(RingElement(mod, f))
+                        ring_inverse(f, mod)
                     assert info.value.witness == poly2.gcd(f, mod.poly), (s, e, factor, v)
 
     def test_witness_without_constant_term(self):
@@ -213,7 +228,7 @@ class TestFoldedArithmetic:
             for v in {1, 2, max(mod.degree // 2, 1), max(mod.degree - 1, 1), mod.degree}:
                 f = BinPoly(rng.getrandbits(mod.degree) << v) % mod.poly
                 with pytest.raises(NonUnitError) as info:
-                    ring_inverse(RingElement(mod, f))
+                    ring_inverse(f, mod)
                 assert info.value.witness == poly2.gcd(f, mod.poly), (n, f)
 
 
@@ -240,7 +255,7 @@ class TestModulusFactorization:
         for n in (4, 8, 12, 16, 24, 48):
             mod = Modulus(n)
             mults = {g: e for g, e in factor(mod.poly)}
-            assert mults[P("11")] == 1 << (mod.two_adic - 1), n
+            assert mults[P("11")] == n // mod.odd_part // 2, n
 
 
 def _units_from_factors(mod):
@@ -283,7 +298,7 @@ class TestUnitGroupOrder:
         for n in range(1, 17):
             mod = Modulus(n)
             count = sum(
-                1 for v in range(1 << mod.degree) if is_unit(reduce(BinPoly(v), mod))
+                1 for v in range(1 << mod.degree) if is_unit(BinPoly(v), mod)
             )
             assert count == unit_group_order(mod), n
 

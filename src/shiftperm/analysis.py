@@ -24,6 +24,7 @@ neighborhoods flip a bit) is exposed as a predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import poly2, tables
 from .bitstate import BitVector
@@ -31,11 +32,6 @@ from .gammaspan import GammaCombination, phi, psi
 from .poly2 import BinPoly, BoundExceededError, ONE, X, ZERO, find_irreducible_of_order, x_power
 from .ring import Modulus, odd_part_gcd, ring_inverse
 from .tables import BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT
-
-# realize_xi searches irreducibles of degree <= 128, where factoring
-# 2^d - 1 takes seconds at most (d = 101), and all but the largest within
-# poly2.TRIAL_DIVISION_LIMIT, as xi of the product factors it
-REALIZE_DEGREE_LIMIT = 128
 
 __all__ = [
     "AnalysisReport",
@@ -90,12 +86,11 @@ def is_permutation(f: GammaCombination, n: int | None = None):
     return witness == ONE, witness
 
 
-def is_permutation_bruteforce(
-    f: GammaCombination, n: int | None = None, limit: int = BIJECTIVITY_LIMIT
-) -> bool:
-    """Injectivity of the map over all 2^n inputs (oracle for the gcd criterion)."""
+def is_permutation_bruteforce(f: GammaCombination, n: int | None = None) -> bool:
+    """Injectivity of the map over all 2^n inputs, n <= BIJECTIVITY_LIMIT
+    (oracle for the gcd criterion)."""
     g = _bind(f, n)
-    tables.check_limit(g.n, limit, "bijectivity scan")
+    tables.check_limit(g.n, BIJECTIVITY_LIMIT, "bijectivity scan")
     return tables.is_bijective(tables.function_table(g.mask, g.n))
 
 
@@ -153,23 +148,18 @@ def inv_membership(f, n: int) -> bool:
 def realize_xi(targets) -> GammaCombination:
     """A formal combination whose xi equals the given set of doubled odd numbers.
 
-    Target 2u needs an irreducible of degree ord_u(2); the degrees are
-    checked against REALIZE_DEGREE_LIMIT and the trial-division limit first.
+    Target 2u takes find_irreducible_of_order(u), which bounds its
+    degree.  All but the largest degree must be within the trial-division
+    limit, as xi of the product factors it.
     """
-    degrees = {}
+    factors = []
     for t in sorted(set(targets)):
         if t < 2 or t % 2 or (t // 2) % 2 == 0:
             raise ValueError(f"target {t} is not twice an odd number")
-        u = t // 2
-        degrees[u] = next((d for d in range(1, REALIZE_DEGREE_LIMIT + 1) if pow(2, d, u) == 1 % u), None)
-        if degrees[u] is None:
-            raise BoundExceededError(f"target {t} needs the degree ord_{u}(2) > {REALIZE_DEGREE_LIMIT}")
-    if len(degrees) > 1 and sorted(degrees.values())[-2] > poly2.TRIAL_DIVISION_LIMIT:
+        factors.append(find_irreducible_of_order(t // 2))
+    if len(factors) > 1 and sorted(g.degree for g in factors)[-2] > poly2.TRIAL_DIVISION_LIMIT:
         raise BoundExceededError(f"targets need two irreducibles of degree > {poly2.TRIAL_DIVISION_LIMIT}")
-    F = ONE
-    for u in degrees:
-        F = F * find_irreducible_of_order(u)
-    return GammaCombination(F.bits, None)
+    return GammaCombination(prod(factors, start=ONE).bits, None)
 
 
 def algebraic_degree(f: GammaCombination, n: int | None = None) -> int:
@@ -313,11 +303,9 @@ def analyze(f: GammaCombination, n: int | None = None, du_limit: int = DU_LIMIT)
     """
     g = _bind(f, n)
     tables.check_ceiling(du_limit, "difference distribution scan")
-    if g.n <= du_limit:
-        tables.check_limit(g.n, DU_CEILING, "difference distribution scan")
+    du = differential_uniformity(g, limit=du_limit) if g.n <= du_limit else None
     ok, witness = is_permutation(g)
     inv = inverse(g) if ok else None
-    du = tables.ddt_max(tables.function_table(g.mask, g.n), g.n) if g.n <= du_limit else None
     return AnalysisReport(
         f=g,
         n=g.n,

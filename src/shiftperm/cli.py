@@ -1,16 +1,15 @@
 """Command-line front end.
 
 Verbs: analyze, invert, compose, xi, enumerate, du, table1, realize.
-A map is given either as a gamma combination via --f ("g0+g2+g4", a
-k-index list "0,1,2", or a coefficient string "111") or as its
-coefficient polynomial via --poly (binary string or exponent list);
-the two spellings are interchangeable.  Reports echo both forms.
+A map is given by --f or --poly, which take the same forms: "g0+g2+g4",
+a k-index (exponent) list "0,1,2", or a coefficient string "111".
+Reports echo both the gamma and the polynomial spelling.
 
 Output is aligned key/value text by default, a JSON tree with --json;
 both are byte-stable for identical inputs.  Exit codes: 0 success,
 1 semantic failure (e.g. inverting a non-permutation; the gcd witness
-is reported), 2 malformed command line or operand, 3 a scan exceeded
-its size limit (see --max-du), 141 stdout closed.
+is reported), 2 malformed command line or operand, 3 a scan or search
+exceeded its bound (see --max-du), 141 stdout closed.
 """
 
 from __future__ import annotations
@@ -37,10 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_f(p, required=True):
-        grp = p.add_mutually_exclusive_group(required=required)
+    def add_f(p):
+        grp = p.add_mutually_exclusive_group(required=True)
         grp.add_argument("--f", help="gamma combination: 'g0+g2+g4', k-indices '0,1,2', or coefficients '111'")
-        grp.add_argument("--poly", help="coefficient polynomial: binary string '111' or exponents '0,1,2'")
+        grp.add_argument("--poly", help="coefficient polynomial, same forms as --f: '111', '0,1,2' or 'g0+g2+g4'")
 
     p = sub.add_parser("analyze", help="full report for one map on F_2^n")
     add_f(p)
@@ -86,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_combination(args, n=None) -> GammaCombination:
-    if getattr(args, "f", None) is not None:
-        return GammaCombination.parse(args.f, n)
-    return GammaCombination(BinPoly.parse(args.poly).bits, n)
+    return GammaCombination.parse(args.poly if args.f is None else args.f, n)
 
 
 def _emit(pairs, as_json: bool) -> None:

@@ -41,13 +41,16 @@ class GammaCombination:
     @classmethod
     def from_indices(cls, ks, n: int | None = None) -> "GammaCombination":
         """Build from k-indices (gamma subscripts divided by 2); duplicates cancel.
-        Given n, each index moves to its canonical position before its bit is set."""
-        mod = None if n is None else Modulus(n)
+        Given n, each index moves to its canonical position before its bit is set;
+        without n the indices are the exponents of BinPoly.from_exponents."""
+        if n is None:
+            return cls(BinPoly.from_exponents(ks).bits)
+        mod = Modulus(n)
         mask = 0
         for k in ks:
             if k < 0:
                 raise ValueError("gamma indices must be nonnegative")
-            if mod is not None and k >= mod.degree:
+            if k >= mod.degree:
                 if n % 2:
                     continue
                 k = n // 2 + k % (n // 2)
@@ -190,8 +193,8 @@ def compose(f: GammaCombination, g: GammaCombination) -> GammaCombination:
     return psi(ring_mul(phi(f), phi(g), mod), mod)
 
 
-def compose_oracle(f: GammaCombination, g: GammaCombination, limit: int = tables.ORACLE_LIMIT):
-    """Exhaustive value table of x -> f(g(x)), computed pointwise.
+def compose_oracle(f: GammaCombination, g: GammaCombination):
+    """Exhaustive value table of x -> f(g(x)), computed pointwise, n <= ORACLE_LIMIT.
 
     Independent of the ring arithmetic; used to verify compose().
     """
@@ -199,7 +202,7 @@ def compose_oracle(f: GammaCombination, g: GammaCombination, limit: int = tables
         raise ValueError("cannot compose combinations on different dimensions")
     if f.n is None:
         raise ValueError("oracle needs a bound dimension")
-    tables.check_limit(f.n, limit, "composition oracle")
+    tables.check_limit(f.n, tables.ORACLE_LIMIT, "composition oracle")
     tf = tables.function_table(f.mask, f.n)
     tg = tables.function_table(g.mask, g.n)
     return tf[tg]

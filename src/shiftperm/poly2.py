@@ -30,6 +30,9 @@ from math import gcd as int_gcd, isqrt, lcm, prod
 
 
 TRIAL_DIVISION_LIMIT = 16  # factor tries irreducible divisors up to this degree: seconds at most
+REALIZE_DEGREE_LIMIT = 128  # largest degree find_irreducible_of_order builds: d = 101 is the slowest, 4.4 s on 2 cores
+RHO_BUDGET = 1 << 24  # squarings per _rho call: 2^305 - 1 needs 16.3 M, 2^137 - 1 about 10^10
+EXPONENT_CAP = 1 << 24  # largest exponent of a formal operand, one with no dimension to reduce it
 
 
 class BoundExceededError(ValueError):
@@ -58,11 +61,13 @@ class BinPoly:
 
     @classmethod
     def from_exponents(cls, exponents) -> "BinPoly":
-        """Build from exponents; repeated exponents cancel mod 2."""
+        """Build from exponents of at most EXPONENT_CAP; repeated exponents cancel mod 2."""
         bits = 0
         for e in exponents:
             if e < 0:
                 raise ValueError("exponents must be nonnegative")
+            if e > EXPONENT_CAP:
+                raise ValueError(f"exponent {e} exceeds the cap {EXPONENT_CAP} on formal operands")
             bits ^= 1 << e
         return cls(bits)
 
@@ -455,12 +460,17 @@ def is_prime(n: int) -> bool:
     return isqrt(n) ** 2 != n and _strong_lucas(n)
 
 
-def _rho(n: int) -> int:
+def _rho(n: int, name: str) -> int:
     """A proper factor of the odd composite n: Brent's variant of Pollard
-    rho, with gcds batched over 128 steps, y_0 = 2 and c = 1, 2, ...."""
+    rho, with gcds batched over 128 steps, y_0 = 2 and c = 1, 2, ....
+    A round that would take the steps past RHO_BUDGET raises BoundExceededError."""
+    steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > RHO_BUDGET:
+                raise BoundExceededError(f"factoring {name} needs more than {RHO_BUDGET} rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -485,12 +495,12 @@ def factor_int(n: int) -> dict:
     """Prime factorization {p: multiplicity} of a positive integer, p ascending."""
     if n < 1:
         raise ValueError("only positive integers are factored")
-    stack = [n]
+    stack, name = [n], str(n)
     if n & (n + 1) == 0:  # 2^d - 1: split into Phi_e(2), e | d, by exact division
         d, phis = n.bit_length(), {}
         for e in (e for e in range(1, d + 1) if d % e == 0):
             phis[e] = ((1 << e) - 1) // prod(v for f, v in phis.items() if e % f == 0)
-        stack = list(phis.values())
+        stack, name = list(phis.values()), f"2^{d} - 1"
     counts: dict = {}
     while stack:
         m = stack.pop()
@@ -503,7 +513,7 @@ def factor_int(n: int) -> dict:
         if m > 1 and is_prime(m):
             counts[m] = counts.get(m, 0) + 1
         elif m > 1:
-            f = _rho(m)
+            f = _rho(m, name)
             stack += [f, m // f]
     return dict(sorted(counts.items()))
 
@@ -542,18 +552,19 @@ _ENUMERATION_DEGREE = 12
 def find_irreducible_of_order(t: int) -> BinPoly:
     """A deterministic irreducible polynomial with the given odd order.
 
-    The degree is the multiplicative order d of 2 mod t.  For d up to
-    12 the result is the smallest such polynomial in enumeration order;
-    beyond that it is the minimal polynomial of a deterministically
-    chosen field element of order t in F_{2^d}.
+    The degree is the multiplicative order d of 2 mod t; a d above
+    REALIZE_DEGREE_LIMIT raises BoundExceededError.  For d up to 12 the
+    result is the smallest such polynomial in enumeration order; beyond
+    that it is the minimal polynomial of a deterministically chosen
+    field element of order t in F_{2^d}.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError("an irreducible order is odd and positive")
     if t == 1:
         return BinPoly(0b11)
-    d = 1
-    while pow(2, d, t) != 1:
-        d += 1
+    d = next((d for d in range(1, REALIZE_DEGREE_LIMIT + 1) if pow(2, d, t) == 1), None)
+    if d is None:
+        raise BoundExceededError(f"order {t} needs the degree ord_{t}(2) > {REALIZE_DEGREE_LIMIT}")
     if d <= _ENUMERATION_DEGREE:
         for g in irreducible_polys(d):
             if g.constant_term == 1 and _irreducible_order(g) == t:

@@ -1,17 +1,27 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
-and the shift-and-add product the arithmetic tests compare against.
+the shift-and-add product the arithmetic tests compare against, the de Bruijn
+pair-graph oracle for permutation status, and a bounded child-process runner.
 
 Each check raises AssertionError on the first violation and returns
 the number of cases it verified, so callers can sanity-check coverage.
 """
 
+import json
+import os
+import pathlib
 import random
+import resource
+import subprocess
+import sys
+
+import numpy as np
 
 from shiftperm.bitstate import BitVector, eval_gamma
 from shiftperm.gammaspan import GammaCombination, evaluate, kappa
 from shiftperm.analysis import (
     inv_membership,
     is_permutation,
+    is_permutation_bruteforce,
     kappa_cofactor,
     kappa_flip_predicate,
 )
@@ -103,3 +113,129 @@ def check_kappa_landscape(dims=(5, 6, 7, 8, 9, 10)) -> int:
                 assert kappa_flip_predicate(x, i) == flipped[i], (n, v, i)
                 cases += 1
     return cases
+
+
+def local_rule(mask: int, window: int) -> int:
+    """Coordinate 0 of the combination with gamma(2k) coefficient bit k of mask,
+    from bit j = x_j of window: gamma(2k) gives x_{2k} prod_{j odd < 2k} (1 + x_j)."""
+    out = 0
+    for k in range(mask.bit_length()):
+        if mask >> k & 1:
+            term = window >> 2 * k & 1
+            for j in range(1, 2 * k, 2):
+                term &= ~window >> j & 1
+            out ^= term
+    return out
+
+
+def pair_graph(mask: int):
+    """The de Bruijn pair graph of the combination, as a 0/1 float32 matrix,
+    and the mask of its off-diagonal states.
+
+    Coordinate i reads the window x_i .. x_{i+w-1}, w = 2 L - 1 for a mask of
+    bit length L.  A state is a pair (u, v) of (w-1)-bit windows; an edge
+    appends one bit to each and exists when the two w-bit windows give the
+    same output.  Pairs x, y of inputs on F_2^n with f(x) = f(y) are the
+    closed walks of length n, and x != y exactly when the walk passes an
+    off-diagonal state (Amoroso and Patt, JCSS 6, 1972; Sutner, Complex
+    Systems 5, 1991).  No ring arithmetic is involved."""
+    b = max(2 * mask.bit_length() - 2, 0)
+    size = 1 << b
+    rule = [local_rule(mask, x) for x in range(2 * size)]
+    adj = np.zeros((size * size, size * size), dtype=np.float32)
+    for u in range(size):
+        for v in range(size):
+            for a in (0, 1):
+                for c in (0, 1):
+                    ua, vc = u | a << b, v | c << b
+                    if rule[ua] == rule[vc]:
+                        adj[u * size + v, (ua >> 1) * size + (vc >> 1)] = 1
+    off = np.array([u != v for u in range(size) for v in range(size)])
+    return adj, off
+
+
+def _bool_product(a, b):
+    return np.minimum(a @ b, 1)  # entries count at most 256 walks: exact in float32
+
+
+def _bool_power(adj, e: int):
+    result = np.eye(len(adj), dtype=np.float32)
+    while e:
+        if e & 1:
+            result = _bool_product(result, adj)
+        adj = _bool_product(adj, adj)
+        e >>= 1
+    return result
+
+
+def check_pair_graph(max_n: int = 130, large=()) -> int:
+    """For every mask of bit length <= 3, is_permutation agrees with the pair
+    graph on n = 1..max_n and on every n in large, and for n <= 10 the graph
+    agrees with the bijectivity scan.  Masks without gamma(0) never permute,
+    and the graph must say so."""
+    cases = 0
+    for mask in range(1, 8):
+        adj, off = pair_graph(mask)
+
+        def check(n, walks):
+            injective = not walks.diagonal()[off].any()
+            f = GammaCombination(mask, n)
+            if mask & 1:
+                assert is_permutation(f)[0] == injective, (mask, n)
+            else:
+                assert not injective, (mask, n)
+            if n <= 10:
+                assert is_permutation_bruteforce(f) == injective, (mask, n)
+
+        walks = adj
+        for n in range(1, max_n + 1):
+            check(n, walks)
+            walks = _bool_product(walks, adj)
+        for n in large:
+            check(n, _bool_power(adj, n))
+        cases += max_n + len(large)
+    return cases
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+CHILD_MEMORY = 400 << 20  # bytes of address space: the interpreter and numpy fit, a 10^10-bit int does not
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def run_bounded(code: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run python -c code with the package importable, under CHILD_MEMORY
+    (set in the child only) and a timeout, so that a regression that hangs
+    or allocates without bound fails at once instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=timeout, preexec_fn=_limit_memory,
+    )
+
+
+_CLI_BATCH = """
+import contextlib, io, json, sys, time
+from shiftperm.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    results.append([code, out.getvalue(), err.getvalue(), time.perf_counter() - start])
+print(json.dumps(results))
+"""
+
+
+def run_cli_bounded(*argvs, timeout: float = 60) -> list:
+    """(exit code, stdout, stderr, seconds) of each command line, run in turn
+    through cli.main in one bounded child; an uncaught exception fails here."""
+    proc = run_bounded(_CLI_BATCH, json.dumps(argvs), timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(r) for r in json.loads(proc.stdout)]

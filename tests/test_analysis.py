@@ -29,6 +29,7 @@ from shiftperm.tables import BoundExceededError
 from checks import (
     check_divisor_closure,
     check_kappa_landscape,
+    check_pair_graph,
     check_p3k_identity,
     check_xi_membership,
 )
@@ -80,6 +81,11 @@ class TestPermutationCriterion:
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             is_permutation_bruteforce(chi(21))
+
+    def test_matches_the_pair_graph(self):
+        # masks of bit length <= 3 (at most 256 pair states) at every n <= 130
+        # and at a few n near 10^6, far past the tables; n <= 10 also by scan
+        assert check_pair_graph(large=(999424, 999999, 1000000, 1000001)) == 7 * 134
 
     def test_power_of_two_rule(self):
         # on n = 4, 8: permutation iff odd number of terms, against brute force

@@ -6,12 +6,15 @@ import pathlib
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftperm.cli import main
 from shiftperm.poly2 import BinPoly
+
+from checks import run_cli_bounded
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -46,7 +49,8 @@ class TestAnalyze:
     def test_poly_spelling_equivalent(self, capsys):
         _, out1, _ = run(capsys, "analyze", "--n", "8", "--f", "0,1,2", "--json")
         _, out2, _ = run(capsys, "analyze", "--n", "8", "--poly", "111", "--json")
-        assert out1 == out2
+        _, out3, _ = run(capsys, "analyze", "--n", "8", "--poly", "g0+g2+g4", "--json")
+        assert out1 == out2 == out3
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "analyze", "--n", "6", "--f", "g0+g2")
@@ -77,6 +81,12 @@ class TestAnalyze:
         huge = run(capsys, "analyze", "--n", "8", "--f", "0,10000000000")
         assert huge == run(capsys, "analyze", "--n", "8", "--f", "0,4")
         assert huge[0] == 0
+
+    def test_huge_poly_exponent_matches_the_f_spelling(self):
+        # --poly is canonicalized as --f is; run bounded, as a 10^10-bit int takes 1.25 GB
+        spellings = [["analyze", "--n", "8", flag, "0,10000000000"] for flag in ("--poly", "--f")]
+        (code, out, err, _), f_run = run_cli_bounded(*spellings)
+        assert (code, out, err) == f_run[:3] and code == 0
 
 
 class TestInvert:
@@ -126,6 +136,24 @@ class TestXiVerb:
         code, out, err = run(capsys, "xi", "--poly", f.to_string())
         assert (code, out) == (3, "")
         assert err == "the polynomial has two irreducible factors of degree > 16\n"
+
+    def test_huge_exponent_exit_2(self):
+        # no dimension reduces a formal exponent: past the cap it is refused before 1 << k is built
+        argvs = [["xi", "--poly", "0,10000000000"], ["xi", "--f", "0,10000000000"],
+                 ["compose", "--f", "g0", "--g", "0,10000000000"]]
+        for argv, (code, out, err, _) in zip(argvs, run_cli_bounded(*argvs)):
+            assert (code, out) == (2, ""), argv
+            assert err == "exponent 10000000000 exceeds the cap 16777216 on formal operands\n", argv
+
+    def test_rho_budget_exit_3(self):
+        # 1 + X^21 + X^137 is irreducible, and rho needs about 10^10 steps on 2^137 - 1
+        argvs = [["xi", "--poly", "0,21,137"], ["analyze", "--n", "276", "--poly", "0,21,137"]]
+        with ThreadPoolExecutor(len(argvs)) as pool:
+            runs = list(pool.map(lambda argv: run_cli_bounded(argv)[0], argvs))
+        for argv, (code, out, err, seconds) in zip(argvs, runs):
+            assert (code, out) == (3, ""), argv
+            assert err == "factoring 2^137 - 1 needs more than 16777216 rho steps\n", argv
+            assert seconds < CASE_BUDGET_S, (argv, seconds)
 
 
 class TestEnumerate:
@@ -256,8 +284,9 @@ def test_closed_stdout_leaves_no_traceback():
     assert "Traceback" not in err
 
 
-# Operands of degree <= 24, so that trial-division factoring stays cheap;
-# dimensions and scan limits run past every limit and ceiling.
+# Operands of degree <= 24, so that trial-division factoring stays cheap, and
+# now and then an exponent near 10^10; dimensions and scan limits run past
+# every limit and ceiling.
 _junk = st.text("g0123456789+,- x", max_size=8)
 _head = st.sampled_from([[], [0]])  # half the operands contain gamma(0)
 _index = st.one_of(st.integers(0, 24).map(lambda k: 2 * k), st.integers(0, 49))
@@ -268,6 +297,13 @@ _klist = st.builds(
     lambda h, ks: ",".join(map(str, h + ks)), _head, st.lists(st.integers(0, 24), min_size=1, max_size=5)
 )
 _bits = st.builds(lambda h, t: "1" * len(h) + t, _head, st.text("01", max_size=24))
+HUGE_MARK = "99999999"  # every exponent and gamma subscript _huge_operand draws holds it
+_huge = st.integers(10**10 - 9, 10**10 - 1)
+_huge_operand = st.one_of(
+    st.builds(lambda t, k: f"{t},{k}", _klist, _huge),
+    st.builds(lambda t, k: f"{t}+g{2 * k}", _gamma, _huge),
+)
+_operand = st.one_of(_gamma, _gamma, _klist, _bits, _junk, _gamma, _klist, _bits, _huge_operand)
 _dim = st.integers(-2, 24).map(str)
 _int = st.one_of(_dim, _dim, _dim, _junk)  # malformed one time in four
 _target = st.one_of(st.integers(0, 1 << 13).map(lambda u: 4 * u + 2), st.integers(-4, 1 << 14))
@@ -276,10 +312,7 @@ _target = st.one_of(st.integers(0, 1 << 13).map(lambda u: 4 * u + 2), st.integer
 @st.composite
 def _argv(draw):
     def operand(flag=None):
-        flag = flag or draw(st.sampled_from(["--f", "--poly"]))
-        if flag == "--f":
-            return [flag, draw(st.one_of(_gamma, _gamma, _klist, _bits, _junk))]
-        return [flag, draw(st.one_of(_klist, _bits, _junk))]
+        return [flag or draw(st.sampled_from(["--f", "--poly"])), draw(_operand)]
 
     def optional(*args):
         return list(args) if draw(st.booleans()) else []
@@ -308,23 +341,49 @@ def _argv(draw):
 CASE_BUDGET_S = 30
 
 
+def _main(*argvs) -> list:
+    """(exit code, stdout, stderr, seconds) of each command line.  Those with a
+    huge exponent run in a bounded child, where a regression that builds a
+    10^10-bit int fails at once instead of exhausting memory."""
+    if any(HUGE_MARK in arg for argv in argvs for arg in argv):
+        return run_cli_bounded(*argvs)
+    runs = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejects the command line
+                code = e.code
+        runs.append((code, out.getvalue(), err.getvalue(), time.perf_counter() - start))
+    return runs
+
+
 @settings(
     max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(_argv())
 def test_fuzz_exit_codes(argv):
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse rejects the command line
-            code = e.code
-    elapsed = time.perf_counter() - start
+    [(code, out, err, elapsed)] = _main(argv)
     assert code in (0, 1, 2, 3), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
     assert elapsed < CASE_BUDGET_S, (argv, elapsed)
     if code == 0 and "--json" in argv:
-        json.loads(out.getvalue())
+        json.loads(out)
     elif code:
-        assert err.getvalue() and (code == 2 or not out.getvalue()), argv
+        assert err and (code == 2 or not out), argv
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    st.sampled_from([["analyze", "--n"], ["invert", "--n"], ["du", "--n"], ["compose", "--g", "g0+g2", "--n"], ["xi"]]),
+    _dim,
+    _operand,
+)
+def test_poly_and_f_spellings_agree(verb, dim, text):
+    head = verb + [dim] if verb[-1] == "--n" else verb
+    f_run, poly_run = _main(head + ["--f", text], head + ["--poly", text])
+    assert f_run[:3] == poly_run[:3], (head, text)

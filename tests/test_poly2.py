@@ -23,7 +23,7 @@ from shiftperm.poly2 import (
     x_power,
 )
 
-from checks import factor_product, shift_and_add
+from checks import factor_product, run_bounded, shift_and_add
 
 P = BinPoly.parse
 
@@ -331,6 +331,22 @@ class TestFindIrreducibleOfOrder:
         with pytest.raises(ValueError):
             find_irreducible_of_order(6)
 
+    def test_degree_above_the_bound(self):
+        # ord_1000003(2) > 128: the bounded search raises before any field is built
+        proc = run_bounded(
+            "import time\n"
+            "from shiftperm.poly2 import BoundExceededError, find_irreducible_of_order\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    find_irreducible_of_order(1000003)\n"
+            "except BoundExceededError as e:\n"
+            "    print(time.perf_counter() - start, e)\n",
+            timeout=30,
+        )
+        seconds, message = proc.stdout.split(" ", 1)
+        assert float(seconds) < 1, proc.stderr
+        assert message == "order 1000003 needs the degree ord_1000003(2) > 128\n"
+
 
 # The prime factorization of 2^d - 1 for d <= 96, as sympy.factorint
 # printed it (p^e for multiplicity e > 1).
@@ -511,6 +527,16 @@ class TestIntegers:
         assert factor_int(1) == {}
         with pytest.raises(ValueError):
             factor_int(0)
+
+    def test_rho_budget(self, monkeypatch):
+        # 2^101 - 1 = 7432339208719 * 341117531003194129 takes rounds up to 2^21 steps
+        monkeypatch.setattr(poly2, "RHO_BUDGET", 1 << 20)
+        with pytest.raises(BoundExceededError, match=r"^factoring 2\^101 - 1 needs more than 1048576 rho steps$"):
+            factor_int((1 << 101) - 1)
+        p, q = 1000000007, 998244353
+        monkeypatch.setattr(poly2, "RHO_BUDGET", 8)
+        with pytest.raises(BoundExceededError, match=f"^factoring {p * q} "):
+            factor_int(p * q)
 
 
 class TestCalculus:

@@ -29,7 +29,7 @@ from math import prod
 from . import poly2, tables
 from .bitstate import BitVector
 from .gammaspan import GammaCombination, phi, psi
-from .poly2 import BinPoly, BoundExceededError, ONE, X, ZERO, find_irreducible_of_order, x_power
+from .poly2 import BinPoly, ONE, X, ZERO, find_irreducible_of_order, x_power
 from .ring import Modulus, odd_part_gcd, ring_inverse
 from .tables import BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT
 
@@ -146,19 +146,14 @@ def inv_membership(f, n: int) -> bool:
 
 
 def realize_xi(targets) -> GammaCombination:
-    """A formal combination whose xi equals the given set of doubled odd numbers.
-
-    Target 2u takes find_irreducible_of_order(u), which bounds its
-    degree.  All but the largest degree must be within the trial-division
-    limit, as xi of the product factors it.
-    """
+    """A formal combination whose xi equals the given set of doubled odd numbers:
+    the product over the targets 2u of find_irreducible_of_order(u), which
+    bounds its degree."""
     factors = []
     for t in sorted(set(targets)):
         if t < 2 or t % 2 or (t // 2) % 2 == 0:
             raise ValueError(f"target {t} is not twice an odd number")
         factors.append(find_irreducible_of_order(t // 2))
-    if len(factors) > 1 and sorted(g.degree for g in factors)[-2] > poly2.TRIAL_DIVISION_LIMIT:
-        raise BoundExceededError(f"targets need two irreducibles of degree > {poly2.TRIAL_DIVISION_LIMIT}")
     return GammaCombination(prod(factors, start=ONE).bits, None)
 
 

@@ -149,10 +149,11 @@ def _run_xi(args) -> int:
 
 
 def _run_enumerate(args) -> int:
+    degree = (args.n + 1) // 2 if args.n % 2 else args.n  # the scan bound is checked before the cap
+    tables.check_limit(degree, tables.BIJECTIVITY_LIMIT, "unit enumeration")
     mod = Modulus(args.n)
-    tables.check_limit(mod.degree, tables.BIJECTIVITY_LIMIT, "unit enumeration")
     perms = []
-    for mask in range(1, 1 << mod.degree, 2):
+    for mask in range(1, 1 << degree, 2):
         if ring.is_unit(BinPoly(mask), mod):
             perms.append(GammaCombination(mask, args.n))
     count = unit_group_order(mod)

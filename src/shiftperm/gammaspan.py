@@ -33,9 +33,7 @@ class GammaCombination:
     def __init__(self, mask: int, n: int | None = None):
         if mask < 0:
             raise ValueError("coefficient mask must be nonnegative")
-        if n is not None and n < 1:
-            raise ValueError("dimension must be at least 1")
-        self.mask = mask if n is None else reduce_bits(mask, n)
+        self.mask = mask if n is None else reduce_bits(mask, Modulus(n))  # Modulus checks n
         self.n = n
 
     @classmethod

@@ -7,9 +7,9 @@ degree -1.
 
 Besides ring arithmetic (+, *, divmod, gcd, extended gcd) the module
 provides an irreducibility test, complete factorization into
-irreducibles, the multiplicative order of a polynomial (the least l
-with f dividing X^l + 1), and a deterministic search for an irreducible
-polynomial of prescribed order.
+irreducibles by distinct and equal degrees, the multiplicative order
+of a polynomial (the least l with f dividing X^l + 1), and a
+deterministic search for an irreducible polynomial of prescribed order.
 
 Orders need the primes of 2^d - 1, which factor_int finds: it splits
 2^d - 1 into the cyclotomic values Phi_e(2), e | d, trial-divides by the
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from math import gcd as int_gcd, isqrt, lcm, prod
 
 
-TRIAL_DIVISION_LIMIT = 16  # factor tries irreducible divisors up to this degree: seconds at most
 REALIZE_DEGREE_LIMIT = 128  # largest degree find_irreducible_of_order builds: d = 101 is the slowest, 4.4 s on 2 cores
 RHO_BUDGET = 1 << 24  # squarings per _rho call: 2^305 - 1 needs 16.3 M, 2^137 - 1 about 10^10
 EXPONENT_CAP = 1 << 24  # largest exponent of a formal operand, one with no dimension to reduce it
@@ -346,11 +346,10 @@ def factor(f: BinPoly) -> tuple:
     (irreducible, multiplicity) pairs, sorted by (degree, coefficient value).
 
     Squarefree decomposition first (gcd with the derivative; a vanishing
-    derivative means the polynomial is a perfect square), then trial
-    division of the squarefree parts by enumerated irreducibles of
-    increasing degree, short-circuiting once the cofactor is itself
-    irreducible.  A composite cofactor with no factor of degree up to
-    TRIAL_DIVISION_LIMIT raises BoundExceededError.
+    derivative means the polynomial is a perfect square), then each
+    squarefree part is split by distinct degrees and each block of equal
+    degree by Cantor-Zassenhaus.  No degree bound applies; orders of the
+    factors, which need the primes of 2^d - 1, are bounded by RHO_BUDGET.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -376,31 +375,33 @@ def _factor_into(fb: int, mult: int, counts: dict) -> None:
 
 
 def _split_squarefree(wb: int) -> list:
-    out = []
-    d = 1
-    while wb != 1:
-        if is_irreducible(BinPoly(wb)):
-            out.append(wb)
-            break
-        while 2 * d <= wb.bit_length() - 1:
-            if d > TRIAL_DIVISION_LIMIT:
-                # wb is composite and has no factor of degree <= the limit
-                raise BoundExceededError(f"the polynomial has two irreducible factors of degree > {TRIAL_DIVISION_LIMIT}")
-            progressed = False
-            for g in irreducible_polys(d):
-                q, r = _divmod_bits(wb, g.bits)
-                if r == 0:
-                    wb = q
-                    out.append(g.bits)
-                    progressed = True
-            d += 1
-            if progressed:
-                break
-        else:
-            # no factor up to half the degree: the cofactor is irreducible
-            out.append(wb)
-            break
-    return out
+    """Distinct degrees: with the factors of degree below d divided out of w,
+    those of degree d multiply to gcd(w, X^(2^d) + X).  Past half the degree
+    of what is left, the rest is irreducible."""
+    out, h, d = [], 2, 1
+    while 2 * d < wb.bit_length():
+        h = _mod_bits(_square(h), wb)  # X^(2^d) mod w
+        if (block := _gcd_bits(wb, h ^ 2)) != 1:
+            out += _split_equal_degree(block, d)
+            wb = _divmod_bits(wb, block)[0]
+        d += 1
+    return out + [wb] if wb != 1 else out
+
+
+def _split_equal_degree(b: int, d: int) -> list:
+    """The factors of a squarefree b whose factors all have degree d (Cantor
+    and Zassenhaus, Math. Comp. 36, 1981): modulo each, the trace a + a^2 + ...
+    + a^(2^(d-1)) is 0 or 1, so its gcd with b splits b for about half the a,
+    drawn from a generator seeded by b."""
+    rng = random.Random(b)
+    while b.bit_length() - 1 > d:
+        a = t = rng.getrandbits(b.bit_length() - 1)
+        for _ in range(d - 1):
+            a = _mod_bits(_square(a), b)
+            t ^= a
+        if (g := _gcd_bits(b, t)) not in (1, b):
+            return _split_equal_degree(g, d) + _split_equal_degree(_divmod_bits(b, g)[0], d)
+    return [b]
 
 
 _SMALL_PRIMES = [p for p in range(2, 256) if all(p % q for q in range(2, p))]

@@ -48,6 +48,9 @@ from . import poly2
 from .poly2 import BinPoly, ONE, _clmul, _gcd_bits, _mod_bits, _square, x_power
 
 
+DIMENSION_CAP = 1 << 21  # largest n: invert at n = 2^21 - 2, twice an odd number (the slow case), takes 14.5 s on 2 cores
+
+
 class NonUnitError(ValueError):
     """Inversion was requested for a non-unit; `witness` is the nontrivial gcd."""
 
@@ -63,8 +66,8 @@ class Modulus:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be at least 1")
+        if not 1 <= self.n <= DIMENSION_CAP:
+            raise ValueError(f"dimension {self.n} is outside 1..{DIMENSION_CAP}")
 
     @property
     def poly(self) -> BinPoly:
@@ -95,9 +98,10 @@ def _fold(a: int, width: int) -> int:
     return a
 
 
-def reduce_bits(a: int, n: int) -> int:
+def reduce_bits(a: int, mod: Modulus) -> int:
     """a mod the modulus for dimension n, on bit masks: the low (n+1)/2
     bits on odd n; on even n the bits from h = n/2 upward fold mod X^h + 1."""
+    n = mod.n
     if n % 2:
         return a & ((1 << (n + 1) // 2) - 1)
     h = n // 2
@@ -106,7 +110,7 @@ def reduce_bits(a: int, n: int) -> int:
 
 def reduce(f: BinPoly, mod: Modulus) -> BinPoly:
     """Canonical representative of the coset of f."""
-    return BinPoly(reduce_bits(f.bits, mod.n))
+    return BinPoly(reduce_bits(f.bits, mod))
 
 
 def _crt(lo: int, hi: int, h: int) -> int:
@@ -156,7 +160,7 @@ def _inverse_mod_x_power(f: int, k: int) -> int:
 def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
     """Multiplicative inverse of a unit, lifted from its inverses modulo the
     coprime parts of the modulus (see the module docstring)."""
-    f = reduce_bits(a.bits, mod.n)
+    f = reduce_bits(a.bits, mod)
     if not f & 1:
         raise _non_unit(f, mod, _witness(f, mod))
     if mod.n % 2:

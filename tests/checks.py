@@ -1,6 +1,7 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
-the shift-and-add product the arithmetic tests compare against, the de Bruijn
-pair-graph oracle for permutation status, and a bounded child-process runner.
+the shift-and-add product and trial-division factoring the arithmetic tests
+compare against, the de Bruijn pair-graph oracle for permutation status, and a
+bounded child-process runner.
 
 Each check raises AssertionError on the first violation and returns
 the number of cases it verified, so callers can sanity-check coverage.
@@ -44,6 +45,29 @@ def factor_product(pairs) -> BinPoly:
         for _ in range(e):
             out = shift_and_add(out, g.bits)
     return BinPoly(out)
+
+
+def trial_factor(f: int) -> list:
+    """(factor, multiplicity) pairs of a nonzero coefficient mask f, ascending:
+    every polynomial g of degree 1, 2, ... in turn is divided out as often as
+    it divides, so only irreducibles do.  Once twice the degree of g passes
+    that of the cofactor, the cofactor is 1 or irreducible."""
+    out, g = [], 2
+    while 2 * (g.bit_length() - 1) < f.bit_length():
+        e = 0
+        while True:
+            q, r = 0, f
+            while r.bit_length() >= g.bit_length():
+                shift = r.bit_length() - g.bit_length()
+                r ^= g << shift
+                q |= 1 << shift
+            if r:
+                break
+            f, e = q, e + 1
+        if e:
+            out.append((g, e))
+        g += 1
+    return out + [(f, 1)] if f != 1 else out
 
 
 def check_shift_invariance(max_n: int = 10) -> int:

@@ -17,6 +17,7 @@ from shiftperm.poly2 import BinPoly
 from checks import run_cli_bounded
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+XI_300 = [5146971002709138, 55384499824371494704325294178347690, 2722258935367507707706996859454145691646]
 
 
 def run(capsys, *argv):
@@ -130,12 +131,20 @@ class TestXiVerb:
         d = json.loads(out)
         assert d["xi"] == [14] and d["xi_upper_bound"] == [2, 14]
 
-    def test_two_large_factors_exit_3(self, capsys):
-        # trial division stops after degree 16; 1 + X^3 + X^17 and 1 + X^5 + X^17 are irreducible
+    def test_two_large_factors(self, capsys):
+        # 1 + X^3 + X^17 and 1 + X^5 + X^17 are irreducible of order 2^17 - 1, a prime
         f = BinPoly.from_exponents([0, 3, 17]) * BinPoly.from_exponents([0, 5, 17])
-        code, out, err = run(capsys, "xi", "--poly", f.to_string())
-        assert (code, out) == (3, "")
-        assert err == "the polynomial has two irreducible factors of degree > 16\n"
+        code, out, _ = run(capsys, "xi", "--poly", f.to_string(), "--json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["xi"] == [262142] and d["xi_upper_bound"] == [2, 262142]
+
+    def test_degree_300(self):
+        # 1 + X + X^300 has large factors of three degrees
+        [(code, out, err, seconds)] = run_cli_bounded(["xi", "--poly", "0,1,300", "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["xi"] == XI_300
+        assert seconds < CASE_BUDGET_S
 
     def test_huge_exponent_exit_2(self):
         # no dimension reduces a formal exponent: past the cap it is refused before 1 << k is built
@@ -239,16 +248,30 @@ class TestRealize:
             assert (code, out) == (3, ""), targets
             assert "degree" in err and time.perf_counter() - start < 1, targets
 
-    def test_two_large_factors_exit_3(self, capsys):
-        # degrees 20 and 21: xi of the product would trial-divide up to degree 20
-        code, out, err = run(capsys, "realize", "--targets", "82,674")
-        assert (code, out) == (3, "") and "two irreducibles" in err
+    def test_two_large_factors(self, capsys):
+        # degrees 20 and 21, one distinct-degree block each
+        code, out, _ = run(capsys, "realize", "--targets", "82,674", "--json")
+        assert code == 0 and json.loads(out)["xi"] == [82, 674]
 
 
 class TestParsing:
     def test_bad_operand_exit_2(self, capsys):
         code, _, err = run(capsys, "xi", "--f", "g1+g2")
         assert code == 2 and err
+
+    def test_dimension_past_the_cap_exit_2(self):
+        # ring.DIMENSION_CAP = 2^21 is checked before any n-bit mask is built;
+        # n = 999998 and 1000001 stay well inside it
+        argvs = [[verb, "--n", "10000000000", "--f", "0,1,2"] for verb in ("invert", "du", "analyze")]
+        argvs += [["compose", "--n", "10000000000", "--f", "0,1,2", "--g", "111"],
+                  ["invert", "--n", "2097153", "--f", "0,1,2"]]
+        inside = [["invert", "--n", "999998", "--f", "0,1,2"], ["analyze", "--n", "1000001", "--f", "0,1,2"]]
+        runs = run_cli_bounded(*argvs, *inside)
+        for argv, (code, out, err, _) in zip(argvs, runs):
+            n = argv[argv.index("--n") + 1]
+            assert (code, out, err) == (2, "", f"dimension {n} is outside 1..2097152\n"), argv
+        for argv, (code, out, err, _) in zip(inside, runs[len(argvs):]):
+            assert (code, err) == (0, "") and out, argv
 
     def test_argparse_failures_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -284,19 +307,18 @@ def test_closed_stdout_leaves_no_traceback():
     assert "Traceback" not in err
 
 
-# Operands of degree <= 24, so that trial-division factoring stays cheap, and
-# now and then an exponent near 10^10; dimensions and scan limits run past
-# every limit and ceiling.
+# Operands of degree <= 64, and now and then an exponent near 10^10;
+# dimensions and scan limits run past every limit and ceiling.
 _junk = st.text("g0123456789+,- x", max_size=8)
 _head = st.sampled_from([[], [0]])  # half the operands contain gamma(0)
-_index = st.one_of(st.integers(0, 24).map(lambda k: 2 * k), st.integers(0, 49))
+_index = st.one_of(st.integers(0, 64).map(lambda k: 2 * k), st.integers(0, 129))
 _gamma = st.builds(
     lambda h, ks: "+".join(f"g{k}" for k in h + ks), _head, st.lists(_index, min_size=1, max_size=5)
 )
 _klist = st.builds(
-    lambda h, ks: ",".join(map(str, h + ks)), _head, st.lists(st.integers(0, 24), min_size=1, max_size=5)
+    lambda h, ks: ",".join(map(str, h + ks)), _head, st.lists(st.integers(0, 64), min_size=1, max_size=5)
 )
-_bits = st.builds(lambda h, t: "1" * len(h) + t, _head, st.text("01", max_size=24))
+_bits = st.builds(lambda h, t: "1" * len(h) + t, _head, st.text("01", max_size=64))
 HUGE_MARK = "99999999"  # every exponent and gamma subscript _huge_operand draws holds it
 _huge = st.integers(10**10 - 9, 10**10 - 1)
 _huge_operand = st.one_of(

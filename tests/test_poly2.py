@@ -1,3 +1,4 @@
+import math
 import random
 from math import isqrt
 
@@ -23,7 +24,7 @@ from shiftperm.poly2 import (
     x_power,
 )
 
-from checks import factor_product, run_bounded, shift_and_add
+from checks import factor_product, run_bounded, shift_and_add, trial_factor
 
 P = BinPoly.parse
 
@@ -229,24 +230,43 @@ class TestFactor:
             factor(ZERO)
 
     def test_roundtrip_exhaustive(self):
-        for bits in range(1, 1 << 13):
+        # every f of degree <= 14, against trial division, which shares no code with factor
+        seen = set()
+        for bits in range(1, 1 << 15):
             f = BinPoly(bits)
             fac = factor(f)
             assert factor_product(fac) == f, f
-            for g, e in fac:
-                assert is_irreducible(g) or g.degree == 1
-                assert e >= 1
+            assert [(g.bits, e) for g, e in fac] == trial_factor(bits), f
+            seen.update(g for g, _ in fac)
+        assert all(is_irreducible(g) for g in seen)
 
-    def test_two_factors_past_the_trial_division_limit(self, monkeypatch):
-        # trial division stops before degree limit + 1, where the cofactor is
-        # composite with no smaller factor: two irreducibles above the limit
-        monkeypatch.setattr(poly2, "TRIAL_DIVISION_LIMIT", 6)
-        g1, g2 = P("11000001"), P("10010001")  # 1 + X + X^7 and 1 + X^3 + X^7
+    def test_two_factors_of_one_degree(self):
+        # 1 + X + X^7 and 1 + X^3 + X^7 fall into one distinct-degree block
+        g1, g2 = P("11000001"), P("10010001")
         assert is_irreducible(g1) and is_irreducible(g2)
-        with pytest.raises(BoundExceededError, match="two irreducible factors of degree > 6"):
-            factor(g1 * g2 * P("111"))
-        # one factor above the limit is the irreducible cofactor
+        assert factor(g1 * g2 * P("111")) == ((P("111"), 1), (g1, 1), (g2, 1))
         assert factor(g1 * P("111") ** 2) == ((P("111"), 2), (g1, 1))
+
+    def test_cyclotomic_blocks(self):
+        # X^m + 1, m odd, is squarefree with phi(e) / ord_e(2) factors of degree
+        # ord_e(2) for each e | m: blocks of many equal degrees, the degree-20
+        # factors of Phi_75 among them
+        for m in range(1, 200, 2):
+            f = x_power(m) + ONE
+            fac = factor(f)
+            expected = []
+            for e in (e for e in range(1, m + 1) if m % e == 0):
+                o = next(o for o in range(1, e + 1) if pow(2, o, e) == 1 % e)
+                totient = sum(1 for j in range(1, e + 1) if math.gcd(j, e) == 1)
+                expected += [o] * (totient // o)
+            assert sorted(g.degree for g, _ in fac) == sorted(expected), m
+            assert factor_product(fac) == f and all(e == 1 and is_irreducible(g) for g, e in fac), m
+
+    def test_degree_300(self):
+        f = BinPoly.from_exponents([0, 1, 300])
+        fac = factor(f)
+        assert factor_product(fac) == f
+        assert all(is_irreducible(g) for g, _ in fac)
 
     def test_factors_sorted_and_distinct(self):
         fac = factor(P("11") * P("111") ** 2 * x_power(2))

@@ -5,7 +5,9 @@ import pytest
 
 from shiftperm import poly2
 from shiftperm.poly2 import BinPoly, ONE, ZERO, X, factor, x_power
+from shiftperm.gammaspan import GammaCombination
 from shiftperm.ring import (
+    DIMENSION_CAP,
     Modulus,
     NonUnitError,
     is_unit,
@@ -43,6 +45,14 @@ class TestModulus:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             Modulus(0)
+
+    def test_dimension_cap(self):
+        assert Modulus(DIMENSION_CAP).degree == DIMENSION_CAP
+        for n in (0, -1, DIMENSION_CAP + 1):
+            with pytest.raises(ValueError, match=f"dimension {n} is outside 1..{DIMENSION_CAP}"):
+                Modulus(n)
+            with pytest.raises(ValueError, match=f"dimension {n} is outside"):
+                GammaCombination(0b111, n)
 
 
 class TestReduceAndMul:
@@ -303,9 +313,7 @@ class TestUnitGroupOrder:
             assert count == unit_group_order(mod), n
 
     def test_matches_product_over_factors(self):
-        # trial division cannot split the pairs of irreducibles of degree 20 to 23
-        # (18 for Phi_57) of Phi_41, Phi_47, Phi_49, Phi_55 and Phi_57 in reasonable time
-        for n in sorted(set(range(1, 129)) - {82, 94, 98, 110, 114}):
+        for n in range(1, 129):
             assert unit_group_order(Modulus(n)) == _units_from_factors(Modulus(n)), n
 
     def test_matches_divisor_form(self):

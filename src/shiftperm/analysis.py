@@ -97,7 +97,7 @@ def is_permutation_bruteforce(f: GammaCombination, n: int | None = None) -> bool
 def inverse(f: GammaCombination, n: int | None = None) -> GammaCombination:
     """Compositional inverse, via inversion in the polynomial ring.
 
-    Raises NonUnitError (carrying the gcd witness) for non-permutations.
+    Raises NonUnitError, carrying is_permutation's witness, for non-permutations.
     """
     g = _bind(f, n)
     if not g.in_monoid:

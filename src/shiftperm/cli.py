@@ -8,8 +8,8 @@ Reports echo both the gamma and the polynomial spelling.
 Output is aligned key/value text by default, a JSON tree with --json;
 both are byte-stable for identical inputs.  Exit codes: 0 success,
 1 semantic failure (e.g. inverting a non-permutation; the gcd witness
-is reported), 2 malformed command line or operand, 3 a scan or search
-exceeded its bound (see --max-du), 141 stdout closed.
+that analyze prints is reported), 2 malformed command line or operand,
+3 a scan, search or factorization exceeded its bound, 141 stdout closed.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from math import gcd as int_gcd, isqrt, lcm, prod
 
 REALIZE_DEGREE_LIMIT = 128  # largest degree find_irreducible_of_order builds: d = 101 is the slowest, 4.4 s on 2 cores
 RHO_BUDGET = 1 << 24  # squarings per _rho call: 2^305 - 1 needs 16.3 M, 2^137 - 1 about 10^10
+FACTOR_DEGREE_LIMIT = 4096  # largest degree factor splits: 1 + X + X^4000 takes 2.1 s on 2 cores
 EXPONENT_CAP = 1 << 24  # largest exponent of a formal operand, one with no dimension to reduce it
 
 
@@ -348,11 +349,13 @@ def factor(f: BinPoly) -> tuple:
     Squarefree decomposition first (gcd with the derivative; a vanishing
     derivative means the polynomial is a perfect square), then each
     squarefree part is split by distinct degrees and each block of equal
-    degree by Cantor-Zassenhaus.  No degree bound applies; orders of the
-    factors, which need the primes of 2^d - 1, are bounded by RHO_BUDGET.
+    degree by Cantor-Zassenhaus.  Degrees past FACTOR_DEGREE_LIMIT raise
+    BoundExceededError; the orders of the factors are bounded by RHO_BUDGET.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
+    if f.degree > FACTOR_DEGREE_LIMIT:
+        raise BoundExceededError(f"factoring degree {f.degree} exceeds the limit {FACTOR_DEGREE_LIMIT}")
     counts: dict = {}
     _factor_into(f.bits, 1, counts)
     ordered = sorted(counts.items(), key=lambda kv: (kv[0].bit_length(), kv[0]))

@@ -28,12 +28,9 @@ and, on even n, from the inverse mod X^m + 1, which the extended
 Euclidean algorithm finds on m-bit operands, to mod X^h + 1; the two
 halves are joined the same way.
 
-A failed inversion raises NonUnitError carrying the witness
-gcd(f, modulus).  For v trailing zeros of f it is X^v on odd n, and
-X^min(v, h) gcd(F, g(X^k)) on even n, with F = f mod X^h + 1,
-g = gcd(f, X^m + 1) and k = 2^(s-1): X^m + 1 is squarefree, so the
-factors f shares with (X^m + 1)^k are those of g, and g^k = g(X^k).
-No gcd runs over h bits.
+A failed inversion raises NonUnitError with is_permutation's witness:
+X when f has no constant term, else gcd(f, X^m + 1) from the Euclidean
+step on even n, a common factor of f and the modulus.
 
 The unit count needs no factoring: X^m + 1 has one irreducible factor
 of degree |C| for each cyclotomic coset C = {j, 2j, 4j, ...} of 2 mod m,
@@ -45,14 +42,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly2
-from .poly2 import BinPoly, ONE, _clmul, _gcd_bits, _mod_bits, _square, x_power
+from .poly2 import BinPoly, ONE, X, _clmul, _square, x_power
 
 
 DIMENSION_CAP = 1 << 21  # largest n: invert at n = 2^21 - 2, twice an odd number (the slow case), takes 14.5 s on 2 cores
 
 
 class NonUnitError(ValueError):
-    """Inversion was requested for a non-unit; `witness` is the nontrivial gcd."""
+    """Inversion was requested for a non-unit.  witness: a nontrivial common
+    factor of f and the modulus; gcd(f, X^m + 1) when f has constant term 1."""
 
     def __init__(self, witness: BinPoly, message: str):
         super().__init__(message)
@@ -162,14 +160,13 @@ def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
     coprime parts of the modulus (see the module docstring)."""
     f = reduce_bits(a.bits, mod)
     if not f & 1:
-        raise _non_unit(f, mod, _witness(f, mod))
+        raise _non_unit(f, mod, X)
     if mod.n % 2:
         return BinPoly(_inverse_mod_x_power(f, mod.degree))
     h, m = mod.n // 2, mod.odd_part
     g, u, _ = poly2.ext_gcd(BinPoly(_fold(f, m)), x_power(m) + ONE)
     if g != ONE:
-        # f is coprime to X^h, so gcd(f, modulus) = gcd(f, X^h + 1)
-        raise _non_unit(f, mod, _odd_witness(f, g.bits, mod))
+        raise _non_unit(f, mod, g)
     hi, w = u.bits, m
     while w < h:
         w *= 2
@@ -177,40 +174,8 @@ def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
     return BinPoly(_crt(_inverse_mod_x_power(f, h), hi, h))
 
 
-def _witness(f: int, mod: Modulus) -> int:
-    """gcd(f, modulus) for f without constant term: the power of X it
-    shares with the modulus, times, on even n, gcd(f, X^h + 1)."""
-    if f == 0:
-        return mod.poly.bits
-    v = (f & -f).bit_length() - 1
-    if mod.n % 2:
-        return 1 << v  # v <= deg f < (n+1)/2
-    g = odd_part_gcd(BinPoly(f), mod).bits
-    return _odd_witness(f, g, mod) << min(v, mod.n // 2)
-
-
-def _odd_witness(f: int, g: int, mod: Modulus) -> int:
-    """gcd(f, X^h + 1) on even n, given g = gcd(f, X^m + 1): gcd(F, g(X^k))
-    for F = f mod X^h + 1 and k = h/m (see the module docstring).  With the
-    decimations F_j(Y) = sum_i F[ik + j] Y^i of F, F mod g(X^k) is
-    sum_j X^j (F_j mod g)(X^k)."""
-    h, m = mod.n // 2, mod.odd_part
-    k = h // m
-    if g == 1 or k == 1:
-        return g
-    d = g.bit_length() - 1
-    coeffs = format(_fold(f, h), "b")[::-1].ljust(h, "0")
-    parts = [
-        format(_mod_bits(int(coeffs[j::k][::-1], 2), g), "b")[::-1].ljust(d, "0")
-        for j in range(k)
-    ]
-    rest = int("".join(map("".join, zip(*parts)))[::-1], 2)
-    spread = int(("0" * (k - 1)).join(format(g, "b")), 2)  # g(X^k) = g^k
-    return _gcd_bits(spread, rest)
-
-
-def _non_unit(f: int, mod: Modulus, g: int) -> NonUnitError:
-    return NonUnitError(BinPoly(g), f"not a unit for n = {mod.n}: degree {f.bit_length() - 1}, gcd degree {g.bit_length() - 1}")
+def _non_unit(f: int, mod: Modulus, g: BinPoly) -> NonUnitError:
+    return NonUnitError(g, f"not a unit for n = {mod.n}: degree {f.bit_length() - 1}, gcd degree {g.degree}")
 
 
 def unit_group_order(mod: Modulus) -> int:

@@ -1,7 +1,7 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
-the shift-and-add product and trial-division factoring the arithmetic tests
-compare against, the de Bruijn pair-graph oracle for permutation status, and a
-bounded child-process runner.
+the shift-and-add product, long-division gcd and trial-division factoring the
+arithmetic tests compare against, the de Bruijn pair-graph oracle for
+permutation status, and a bounded child-process runner.
 
 Each check raises AssertionError on the first violation and returns
 the number of cases it verified, so callers can sanity-check coverage.
@@ -47,6 +47,23 @@ def factor_product(pairs) -> BinPoly:
     return BinPoly(out)
 
 
+def long_division(a: int, b: int) -> tuple:
+    """(quotient, remainder) of coefficient masks a / b, one leading term per step."""
+    q = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        a ^= b << shift
+        q |= 1 << shift
+    return q, a
+
+
+def euclid_gcd(a: int, b: int) -> int:
+    """gcd of coefficient masks by repeated long division."""
+    while b:
+        a, b = b, long_division(a, b)[1]
+    return a
+
+
 def trial_factor(f: int) -> list:
     """(factor, multiplicity) pairs of a nonzero coefficient mask f, ascending:
     every polynomial g of degree 1, 2, ... in turn is divided out as often as
@@ -55,15 +72,8 @@ def trial_factor(f: int) -> list:
     out, g = [], 2
     while 2 * (g.bit_length() - 1) < f.bit_length():
         e = 0
-        while True:
-            q, r = 0, f
-            while r.bit_length() >= g.bit_length():
-                shift = r.bit_length() - g.bit_length()
-                r ^= g << shift
-                q |= 1 << shift
-            if r:
-                break
-            f, e = q, e + 1
+        while not (qr := long_division(f, g))[1]:
+            f, e = qr[0], e + 1
         if e:
             out.append((g, e))
         g += 1

@@ -125,6 +125,19 @@ class TestInverse:
             inverse(kappa(12))
         assert info.value.witness == P("111")
 
+    def test_witness_is_the_permutation_witness(self):
+        # one witness, gcd(F, X^m + 1), also where 4 divides n and X^m + 1 is
+        # a proper divisor of X^(n/2) + 1
+        rng = random.Random(26)
+        cases = [GammaCombination(mask, n) for n in range(2, 13, 2) for mask in monoid_masks(n)]
+        cases += [GammaCombination(rng.getrandbits(n) | 1, n) for n in (1000, 60000) for _ in range(30)]
+        for f in cases:
+            ok, witness = is_permutation(f)
+            if not ok:
+                with pytest.raises(NonUnitError) as info:
+                    inverse(f)
+                assert info.value.witness == witness, (f.n, f.mask)
+
     def test_roundtrip_exhaustive(self):
         for n in range(1, 11):
             for mask in monoid_masks(n):

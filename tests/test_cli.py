@@ -102,6 +102,26 @@ class TestInvert:
         assert out == ""
         assert "gcd witness 111" in err
 
+    def test_witness_matches_analyze(self, capsys):
+        # n = 8 * 125: the witness is gcd(F, X^125 + 1), the gcd_witness of analyze
+        operand = ["--n", "1000", "--f", "g0+g8+g10+g18"]
+        code, out, err = run(capsys, "invert", *operand)
+        assert (code, out) == (1, "")
+        _, report, _ = run(capsys, "analyze", *operand, "--json")
+        assert json.loads(report)["gcd_witness"] == "100001"
+        assert err == "not a permutation on F_2^1000: gcd witness 100001\n"
+
+    def test_large_operands_end_at_once(self):
+        # a non-unit at the dimension cap needs no gcd over n/2 bits, and factor
+        # refuses degrees past FACTOR_DEGREE_LIMIT before it starts
+        argvs = [["invert", "--n", "2097152", "--f", "0,1"], ["xi", "--poly", "0,1,20000"],
+                 ["analyze", "--n", "2000000", "--poly", "0,1,999999"]]
+        invert, *factoring = run_cli_bounded(*argvs, timeout=10)
+        assert invert[:3] == (1, "", "not a permutation on F_2^2097152: gcd witness 11\n")
+        for argv, (code, out, err, _), degree in zip(argvs[1:], factoring, (20000, 999999)):
+            assert (code, out) == (3, ""), argv
+            assert err == f"factoring degree {degree} exceeds the limit 4096\n", argv
+
 
 class TestCompose:
     def test_gamma_expansion(self, capsys):

@@ -17,12 +17,25 @@ from shiftperm.ring import (
     unit_group_order,
 )
 
-from checks import factor_product, shift_and_add
+from checks import euclid_gcd, factor_product, long_division, shift_and_add
 
 P = BinPoly.parse
 
 # every 2-adic exponent s = 0..5 below 65, and large n with s = 3, 0, 1, 3
 FOLD_DIMENSIONS = list(range(1, 65)) + [1000, 1001, 2002, 5144]
+
+
+def non_unit_witness(f: BinPoly, mod: Modulus) -> NonUnitError:
+    """ring_inverse(f) raises with the witness is_permutation reports: X when
+    f has no constant term, else gcd(f, X^m + 1), found here by long division.
+    It is not 1 and divides f and the modulus."""
+    with pytest.raises(NonUnitError) as info:
+        ring_inverse(f, mod)
+    w = info.value.witness.bits
+    expected = euclid_gcd(f.bits, 1 << mod.odd_part | 1) if f.bits & 1 else 0b10
+    assert w == expected, (mod.n, f)
+    assert w != 1 and long_division(f.bits, w)[1] == long_division(mod.poly.bits, w)[1] == 0, (mod.n, f)
+    return info.value
 
 
 class TestModulus:
@@ -88,12 +101,9 @@ class TestReduceAndMul:
                 assert str(info.value) == str(canonical.value), n
 
     def test_inverse_of_a_multiple_of_the_odd_modulus(self):
-        # X^((n+1)/2) is the odd modulus itself, the coset of 0: the witness is the modulus
+        # X^((n+1)/2) is the odd modulus itself, the coset of 0: the witness is X
         for n in (1, 3, 5, 9, 1001):
-            mod = Modulus(n)
-            with pytest.raises(NonUnitError) as info:
-                ring_inverse(x_power((n + 1) // 2), mod)
-            assert info.value.witness == mod.poly, n
+            assert non_unit_witness(x_power((n + 1) // 2), Modulus(n)).witness == X, n
 
     def test_mul_examples(self):
         big = Modulus(20)
@@ -164,11 +174,11 @@ class TestUnits:
 
     def test_non_unit_message_gives_degrees_only(self):
         # the message stays short at large n: no polynomial is rendered
+        # X^30000 + 1 = (X^1875 + 1)^16 for the odd part m = 1875 of 60000
         f = x_power(30000) + ONE
-        with pytest.raises(NonUnitError) as info:
-            ring_inverse(reduce(f, Modulus(60000)), Modulus(60000))
-        assert info.value.witness == f
-        assert str(info.value) == "not a unit for n = 60000: degree 30000, gcd degree 30000"
+        error = non_unit_witness(reduce(f, Modulus(60000)), Modulus(60000))
+        assert error.witness == x_power(1875) + ONE
+        assert str(error) == "not a unit for n = 60000: degree 30000, gcd degree 1875"
 
 
 class TestFoldedArithmetic:
@@ -198,9 +208,7 @@ class TestFoldedArithmetic:
                         assert ring_inverse(f, mod) == u % mod.poly, (n, f)
                         assert is_unit(f, mod)
                     else:
-                        with pytest.raises(NonUnitError) as info:
-                            ring_inverse(f, mod)
-                        assert info.value.witness == poly2.gcd(f, mod.poly), (n, f)
+                        non_unit_witness(f, mod)
                         assert not is_unit(f, mod)
 
     def test_mul_matches_shift_and_add(self):
@@ -227,9 +235,7 @@ class TestFoldedArithmetic:
                 for v in (0, 0, 1, h - 1, h, h + 3):
                     f = BinPoly(rng.getrandbits(mod.degree) | 1) * factor**e
                     f = (f << v) % mod.poly
-                    with pytest.raises(NonUnitError) as info:
-                        ring_inverse(f, mod)
-                    assert info.value.witness == poly2.gcd(f, mod.poly), (s, e, factor, v)
+                    non_unit_witness(f, mod)
 
     def test_witness_without_constant_term(self):
         rng = random.Random(25)
@@ -237,9 +243,7 @@ class TestFoldedArithmetic:
             mod = Modulus(n)
             for v in {1, 2, max(mod.degree // 2, 1), max(mod.degree - 1, 1), mod.degree}:
                 f = BinPoly(rng.getrandbits(mod.degree) << v) % mod.poly
-                with pytest.raises(NonUnitError) as info:
-                    ring_inverse(f, mod)
-                assert info.value.witness == poly2.gcd(f, mod.poly), (n, f)
+                assert non_unit_witness(f, mod).witness == X, (n, f)
 
 
 class TestModulusFactorization:

@@ -3,7 +3,7 @@
 The exact criteria work through the polynomial mirror: on odd
 dimensions every combination containing gamma(0) permutes F_2^n, on
 even n = 2^s * m (m odd) it permutes iff its coefficient polynomial is
-coprime to 1 + X^m; the gcd is returned as a witness either way.
+coprime to 1 + X^m; ring.unit_witness owns that test and its gcd witness.
 Brute-force counterparts (bijectivity scan, difference distribution)
 run over all 2^n inputs below explicit size limits and are
 deliberately independent of the ring arithmetic.  The algebraic degree
@@ -30,7 +30,7 @@ from . import poly2, tables
 from .bitstate import BitVector
 from .gammaspan import GammaCombination, phi, psi
 from .poly2 import BinPoly, ONE, X, ZERO, find_irreducible_of_order, x_power
-from .ring import Modulus, odd_part_gcd, ring_inverse
+from .ring import Modulus, NonUnitError, ring_inverse, unit_witness
 from .tables import BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT
 
 __all__ = [
@@ -73,16 +73,14 @@ def _formal_poly(f) -> BinPoly:
 def is_permutation(f: GammaCombination, n: int | None = None):
     """Exact permutation test; returns (answer, witness gcd).
 
-    Odd dimensions always give (True, 1).  On even n the witness is
-    gcd(F, 1 + X^m) with m the largest odd divisor of n, and the map
+    The witness is ring.unit_witness: 1 on odd dimensions, on even n
+    gcd(F, 1 + X^m) with m the largest odd divisor of n; the map
     permutes iff the witness is 1.
     """
     g = _bind(f, n)
     if not g.in_monoid:
         raise ValueError("permutation criterion applies to combinations containing gamma(0)")
-    if g.n % 2:
-        return True, ONE
-    witness = odd_part_gcd(g.poly(), Modulus(g.n))
+    witness = unit_witness(g.poly(), Modulus(g.n))
     return witness == ONE, witness
 
 
@@ -294,20 +292,24 @@ def analyze(f: GammaCombination, n: int | None = None, du_limit: int = DU_LIMIT)
     and (within its limit) the brute-forced differential uniformity.
 
     The differential uniformity is None above its limit; everything else
-    is exact at any dimension.
+    is exact at any dimension.  xi's bounds refuse before the inversion,
+    whose NonUnitError carries is_permutation's witness.
     """
     g = _bind(f, n)
     tables.check_ceiling(du_limit, "difference distribution scan")
+    forbidden = tuple(sorted(xi(g)))
     du = differential_uniformity(g, limit=du_limit) if g.n <= du_limit else None
-    ok, witness = is_permutation(g)
-    inv = inverse(g) if ok else None
+    try:
+        inv, witness = inverse(g), ONE
+    except NonUnitError as e:
+        inv, witness = None, e.witness
     return AnalysisReport(
         f=g,
         n=g.n,
-        is_permutation=ok,
+        is_permutation=inv is not None,
         gcd_witness=witness,
         inverse=inv,
-        xi=tuple(sorted(xi(g))),
+        xi=forbidden,
         algebraic_degree=algebraic_degree(g),
         inverse_degree=None if inv is None else algebraic_degree(inv),
         differential_uniformity=du,

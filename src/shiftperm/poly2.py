@@ -294,25 +294,23 @@ def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
 
 
 def ext_gcd(a: BinPoly, b: BinPoly):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    """Extended Euclid without the cofactor of b: (g, u) with g = gcd(a, b), u a = g mod b."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
     r0, r1 = a.bits, b.bits
     s0, s1 = 1, 0
-    t0, t1 = 0, 1
     while r1:
         q, r = _divmod_bits(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 ^ _clmul(q, s1)
-        t0, t1 = t1, t0 ^ _clmul(q, t1)
-    return BinPoly(r0), BinPoly(s0), BinPoly(t0)
+    return BinPoly(r0), BinPoly(s0)
 
 
 def _x_pow_2k_mod(k: int, m: int) -> int:
     """X^(2^k) mod m, by k modular squarings."""
     r = _mod_bits(2, m)
     for _ in range(k):
-        r = _mulmod_bits(r, r, m)
+        r = _mod_bits(_square(r), m)
     return r
 
 

@@ -28,9 +28,9 @@ and, on even n, from the inverse mod X^m + 1, which the extended
 Euclidean algorithm finds on m-bit operands, to mod X^h + 1; the two
 halves are joined the same way.
 
-A failed inversion raises NonUnitError with is_permutation's witness:
-X when f has no constant term, else gcd(f, X^m + 1) from the Euclidean
-step on even n, a common factor of f and the modulus.
+unit_witness owns that unit criterion.  A failed inversion raises
+NonUnitError with X, or on even n the unit_witness gcd(f, X^m + 1) that
+its Euclidean step already has: a common factor of f and the modulus.
 
 The unit count needs no factoring: X^m + 1 has one irreducible factor
 of degree |C| for each cyclotomic coset C = {j, 2j, 4j, ...} of 2 mod m,
@@ -130,19 +130,19 @@ def ring_mul(a: BinPoly, b: BinPoly, mod: Modulus) -> BinPoly:
     return BinPoly(_crt(lo, hi, h))
 
 
-def odd_part_gcd(f: BinPoly, mod: Modulus) -> BinPoly:
-    """gcd(f, X^m + 1) for the odd part m of n, from f folded mod X^m + 1.
-
-    On even n a polynomial with constant term 1 is a unit modulo the
-    modulus iff this gcd is 1.
-    """
+def unit_witness(f: BinPoly, mod: Modulus) -> BinPoly:
+    """The unit criterion: 1 on odd n; on even n gcd(f, X^m + 1) for the odd
+    part m of n, from f folded mod X^m + 1.  A polynomial with constant term 1
+    is a unit modulo the modulus iff this is 1."""
+    if mod.n % 2:
+        return ONE
     m = mod.odd_part
     return poly2.gcd(BinPoly(_fold(f.bits, m)), x_power(m) + ONE)
 
 
 def is_unit(a: BinPoly, mod: Modulus) -> bool:
     """True iff a is coprime to the modulus."""
-    return a.constant_term == 1 and (mod.n % 2 == 1 or odd_part_gcd(a, mod) == ONE)
+    return a.constant_term == 1 and unit_witness(a, mod) == ONE
 
 
 def _inverse_mod_x_power(f: int, k: int) -> int:
@@ -164,7 +164,7 @@ def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
     if mod.n % 2:
         return BinPoly(_inverse_mod_x_power(f, mod.degree))
     h, m = mod.n // 2, mod.odd_part
-    g, u, _ = poly2.ext_gcd(BinPoly(_fold(f, m)), x_power(m) + ONE)
+    g, u = poly2.ext_gcd(BinPoly(_fold(f, m)), x_power(m) + ONE)
     if g != ONE:
         raise _non_unit(f, mod, g)
     hi, w = u.bits, m

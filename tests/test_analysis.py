@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from shiftperm import poly2, tables
+from shiftperm import analysis, poly2, tables
 from shiftperm.analysis import (
     algebraic_degree,
     analyze,
@@ -538,6 +538,43 @@ class TestAnalyze:
         assert report.algebraic_degree == 3
         assert report.inverse_degree == (17 - 1) // 2
         assert report.differential_uniformity is None
+
+    def test_one_euclid_per_report(self, monkeypatch):
+        # the witness comes from the inversion's ext_gcd; no separate gcd runs
+        calls = []
+
+        def counting(name):
+            real = getattr(poly2, name)
+
+            def call(a, b):
+                calls.append(name)
+                return real(a, b)
+
+            return call
+
+        for name in ("gcd", "ext_gcd"):
+            monkeypatch.setattr(poly2, name, counting(name))
+        for f, ok in ((kappa(1000), True), (GammaCombination.parse("g0+g8+g10+g18", 1000), False)):
+            calls.clear()
+            assert analyze(f).is_permutation is ok
+            assert calls == ["ext_gcd"], (f.mask, calls)
+
+    def test_permutation_fields_match_the_criterion(self, monkeypatch):
+        # xi of a random operand of degree near 1000 may exhaust the rho budget
+        # and feeds none of these fields; poly2.gcd (is_permutation's Euclid)
+        # must not run inside analyze
+        rng = random.Random(27)
+        cases = [GammaCombination(mask, n) for n in range(2, 13, 2) for mask in monoid_masks(n)]
+        cases += [GammaCombination(rng.getrandbits(1000) | 1, 1000) for _ in range(30)]
+        expected = []
+        for f in cases:
+            ok, witness = is_permutation(f)
+            expected.append((ok, witness, inverse(f) if ok else None))
+        monkeypatch.setattr(analysis, "xi", lambda f: frozenset())
+        monkeypatch.setattr(poly2, "gcd", lambda a, b: pytest.fail("poly2.gcd ran inside analyze"))
+        for f, want in zip(cases, expected):
+            report = analyze(f, du_limit=0)
+            assert (report.is_permutation, report.gcd_witness, report.inverse) == want, (f.n, f.mask)
 
     def test_report_invariants(self):
         rng = random.Random(8)

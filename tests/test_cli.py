@@ -89,6 +89,12 @@ class TestAnalyze:
         (code, out, err, _), f_run = run_cli_bounded(*spellings)
         assert (code, out, err) == f_run[:3] and code == 0
 
+    def test_factor_bound_refuses_before_inversion(self):
+        # xi comes first: the inversion at n = 2^21 - 2 would take seconds
+        [(code, out, err, seconds)] = run_cli_bounded(["analyze", "--n", "2097150", "--poly", "0,1,2,1048573"])
+        assert (code, out, err) == (3, "", "factoring degree 1048573 exceeds the limit 4096\n")
+        assert seconds < 2
+
 
 class TestInvert:
     def test_success(self, capsys):

@@ -11,7 +11,8 @@ irreducibles by distinct and equal degrees, the multiplicative order
 of a polynomial (the least l with f dividing X^l + 1), and a
 deterministic search for an irreducible polynomial of prescribed order.
 
-Orders need the primes of 2^d - 1, which factor_int finds: it splits
+Every order comes from one routine, _order_mod, which strips primes from
+a known multiple.  Orders need the primes of 2^d - 1; factor_int splits
 2^d - 1 into the cyclotomic values Phi_e(2), e | d, trial-divides by the
 primes below 256 and splits the rest by Brent's Pollard rho.  Primality
 is Baillie-PSW, exact below 2^64 with no known counterexample above.
@@ -49,16 +50,6 @@ class BinPoly:
         if bits < 0:
             raise ValueError("coefficient mask must be nonnegative")
         self.bits = bits
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "BinPoly":
-        """Build from an iterable of 0/1 coefficients, index i = X^i."""
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError(f"coefficient {c!r} is not a bit")
-            bits |= c << i
-        return cls(bits)
 
     @classmethod
     def from_exponents(cls, exponents) -> "BinPoly":
@@ -520,15 +511,20 @@ def factor_int(n: int) -> dict:
     return dict(sorted(counts.items()))
 
 
-def _irreducible_order(g: BinPoly) -> int:
-    d = g.degree
-    if d == 1:
-        return 1  # the only irreducible with constant term 1 is 1+X
-    t = (1 << d) - 1
-    for p in factor_int(t):
-        while t % p == 0 and _powmod_bits(2, t // p, g.bits) == 1:
+def _order_mod(a: int, t: int, primes, m: int) -> int:
+    """The order of a modulo m, given a^t = 1 mod m and primes holding every
+    prime of t: each prime is stripped from t while a^(t/p) stays 1."""
+    for p in primes:
+        while t % p == 0 and _powmod_bits(a, t // p, m) == 1:
             t //= p
     return t
+
+
+def _irreducible_order(g: BinPoly) -> int:
+    """The order of an irreducible g with constant term 1 (1 + X included):
+    X^(2^d - 1) = 1 modulo g of degree d, so it is _order_mod over the primes of 2^d - 1."""
+    t = (1 << g.degree) - 1
+    return _order_mod(2, t, factor_int(t), g.bits)
 
 
 def order(f: BinPoly) -> int:
@@ -552,13 +548,15 @@ _ENUMERATION_DEGREE = 12
 
 
 def find_irreducible_of_order(t: int) -> BinPoly:
-    """A deterministic irreducible polynomial with the given odd order.
+    """A deterministic irreducible polynomial with the given odd order t.
 
-    The degree is the multiplicative order d of 2 mod t; a d above
-    REALIZE_DEGREE_LIMIT raises BoundExceededError.  For d up to 12 the
-    result is the smallest such polynomial in enumeration order; beyond
-    that it is the minimal polynomial of a deterministically chosen
-    field element of order t in F_{2^d}.
+    Its degree is d = ord_t(2); a d above REALIZE_DEGREE_LIMIT raises
+    BoundExceededError.  2^d - 1 is factored once, for every order test.
+    For d up to 12 the result is the smallest irreducible of degree d and
+    order t.  Beyond that it is the minimal polynomial, the product of
+    X + alpha^(2^i), i < d, of the first alpha = gen^((2^d - 1)/t), gen = 2,
+    3, ..., of order t in F_{2^d} = F_2[Y]/(p), p the smallest irreducible
+    of degree d.  Both exist: the unit group of F_{2^d} is cyclic of order 2^d - 1.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError("an irreducible order is odd and positive")
@@ -567,44 +565,20 @@ def find_irreducible_of_order(t: int) -> BinPoly:
     d = next((d for d in range(1, REALIZE_DEGREE_LIMIT + 1) if pow(2, d, t) == 1), None)
     if d is None:
         raise BoundExceededError(f"order {t} needs the degree ord_{t}(2) > {REALIZE_DEGREE_LIMIT}")
+    n = (1 << d) - 1
+    primes = factor_int(n)
     if d <= _ENUMERATION_DEGREE:
-        for g in irreducible_polys(d):
-            if g.constant_term == 1 and _irreducible_order(g) == t:
-                return g
-        raise RuntimeError(f"no irreducible of order {t} found at degree {d}")
-    return _minimal_poly_of_order(t, d)
-
-
-def _smallest_irreducible(d: int) -> int:
-    for bits in range((1 << d) | 1, 1 << (d + 1), 2):
-        if is_irreducible(BinPoly(bits)):
-            return bits
-    raise RuntimeError(f"no irreducible of degree {d}")
-
-
-def _minimal_poly_of_order(t: int, d: int) -> BinPoly:
-    """Minimal polynomial of an order-t element of F_{2^d} = F_2[Y]/(p)."""
-    p = _smallest_irreducible(d)
-    cofactor = ((1 << d) - 1) // t
-    primes = [q for q in factor_int((1 << d) - 1) if t % q == 0]
-    alpha = 0
-    for gen in range(2, 1 << d):
-        cand = _powmod_bits(gen, cofactor, p)
-        if cand != 1 and all(_powmod_bits(cand, t // q, p) != 1 for q in primes):
-            alpha = cand
-            break
-    assert alpha, "the unit group is cyclic, some power has order t"
-    # product of (X + alpha^(2^i)) with coefficients in F_{2^d}
-    coeffs = [1]
+        return next(g for g in irreducible_polys(d) if _order_mod(2, n, primes, g.bits) == t)
+    p = next(b for b in range((1 << d) | 1, 1 << (d + 1), 2) if is_irreducible(BinPoly(b)))
+    powers = (_powmod_bits(gen, n // t, p) for gen in range(2, 1 << d))
+    alpha = next(a for a in powers if _order_mod(a, t, primes, p) == t)
+    coeffs = [1]  # of the product so far, lowest first, each in F_{2^d}
     conj = alpha
     for _ in range(d):
         coeffs = [0] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] ^= _mulmod_bits(conj, coeffs[i + 1], p)
         conj = _mulmod_bits(conj, conj, p)
-    assert conj == alpha and all(c in (0, 1) for c in coeffs)
-    result = BinPoly.from_coeffs(coeffs)
-    # X has order t modulo result: X^t = 1 and X^(t/q) != 1 for the primes q of t
-    assert _powmod_bits(2, t, result.bits) == 1
-    assert all(_powmod_bits(2, t // q, result.bits) != 1 for q in primes)
-    return result
+    f = sum(c << i for i, c in enumerate(coeffs))
+    assert max(coeffs) == 1 and _powmod_bits(2, t, f) == 1 and _order_mod(2, t, primes, f) == t
+    return BinPoly(f)

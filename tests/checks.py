@@ -1,7 +1,7 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
 the shift-and-add product, long-division gcd and trial-division factoring the
 arithmetic tests compare against, the de Bruijn pair-graph oracle for
-permutation status, and a bounded child-process runner.
+permutation status, and bounded child-process runners.
 
 Each check raises AssertionError on the first violation and returns
 the number of cases it verified, so callers can sanity-check coverage.
@@ -12,6 +12,7 @@ import os
 import pathlib
 import random
 import resource
+import select
 import subprocess
 import sys
 
@@ -239,37 +240,74 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
 
 
-def run_bounded(code: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
+def run_bounded(code: str, *args: str, timeout: float, input: str | None = None) -> subprocess.CompletedProcess:
     """Run python -c code with the package importable, under CHILD_MEMORY
     (set in the child only) and a timeout, so that a regression that hangs
     or allocates without bound fails at once instead of stalling the suite."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code, *args], env=env, input=input, capture_output=True, text=True,
         timeout=timeout, preexec_fn=_limit_memory,
     )
 
 
-_CLI_BATCH = """
+_CLI_SERVER = """
 import contextlib, io, json, sys, time
 from shiftperm.cli import main
-results = []
-for argv in json.loads(sys.argv[1]):
+for line in sys.stdin:
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = main(json.loads(line))
         except SystemExit as e:
             code = e.code
-    results.append([code, out.getvalue(), err.getvalue(), time.perf_counter() - start])
-print(json.dumps(results))
+    print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]), flush=True)
 """
 
 
 def run_cli_bounded(*argvs, timeout: float = 60) -> list:
     """(exit code, stdout, stderr, seconds) of each command line, run in turn
     through cli.main in one bounded child; an uncaught exception fails here."""
-    proc = run_bounded(_CLI_BATCH, json.dumps(argvs), timeout=timeout)
+    proc = run_bounded(_CLI_SERVER, timeout=timeout, input="".join(json.dumps(a) + "\n" for a in argvs))
     assert proc.returncode == 0, proc.stderr
-    return [tuple(r) for r in json.loads(proc.stdout)]
+    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+class BoundedCli:
+    """One long-lived bounded child that runs command lines through cli.main
+    as they come: one JSON argv per line in, one JSON (exit code, stdout,
+    stderr, seconds) per line out.  A child that dies, from an uncaught
+    exception or exhausted memory, or gives no answer within timeout seconds
+    fails the call, and the next call starts a new one."""
+
+    def __init__(self, timeout: float):
+        self.timeout, self.proc = timeout, None
+
+    def run(self, argv) -> tuple:
+        if self.proc is None:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", _CLI_SERVER], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                preexec_fn=_limit_memory,
+            )
+        try:
+            self.proc.stdin.write(json.dumps(argv) + "\n")
+            self.proc.stdin.flush()
+            answered = select.select([self.proc.stdout], [], [], self.timeout)[0]
+            line = self.proc.stdout.readline() if answered else None
+        except BrokenPipeError:
+            line = ""
+        if line:
+            return tuple(json.loads(line))
+        err = self.close()
+        raise AssertionError(f"{argv}: " + (f"no answer within {self.timeout} s" if line is None else err))
+
+    def close(self) -> str:
+        """Stop the child, if any; what it wrote to stderr."""
+        if self.proc is None:
+            return ""
+        self.proc.kill()
+        err = self.proc.communicate()[1]
+        self.proc = None
+        return err

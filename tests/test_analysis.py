@@ -32,6 +32,7 @@ from checks import (
     check_pair_graph,
     check_p3k_identity,
     check_xi_membership,
+    local_rule,
 )
 
 P = BinPoly.parse
@@ -440,6 +441,46 @@ class TestDifferentialUniformity:
         with pytest.raises(BoundExceededError):
             differential_uniformity(kappa(9), limit=8)
         assert differential_uniformity(kappa(9), limit=9) == 112
+
+
+def _row_one_max(f, n):
+    """Largest entry of the difference table row of the single-bit difference a = 1."""
+    t = tables.function_table(f.mask, n).astype(np.int64)
+    return int(np.bincount(t ^ t[np.arange(1 << n) ^ 1]).max())
+
+
+def _local_row_one_count(mask):
+    """c_f: flipping x_0 changes the w = 2L - 1 coordinates whose windows hold
+    it, L the bit length of mask, and they read 2w - 1 input bits; the largest
+    number of those local inputs that give one output difference."""
+    w = 2 * mask.bit_length() - 1
+    rule = [local_rule(mask, v) for v in range(1 << w)]
+    low = (1 << w) - 1
+    counts = {}
+    for x in range(1 << (2 * w - 1)):  # bit j is x_(j - w + 1)
+        y = x ^ 1 << (w - 1)
+        diff = sum((rule[x >> i & low] ^ rule[y >> i & low]) << i for i in range(w))
+        counts[diff] = counts.get(diff, 0) + 1
+    return max(counts.values())
+
+
+class TestDifferenceRowOne:
+    def test_attains_du_when_every_index_is_below_half(self):
+        # canonical masks whose gamma(2k) all have k < n/2: every mask on odd n
+        masks = [(mask, n) for n in range(1, 13) for mask in range(1, 1 << ((n + 1) // 2))]
+        assert len(masks) == 240
+        for mask, n in masks:
+            f = GammaCombination(mask, n)
+            assert _row_one_max(f, n) == differential_uniformity(f), (mask, n)
+
+    def test_closed_form_from_the_local_count(self):
+        # for n >= 2w - 1 the other n - 2w + 1 input bits are free, so the row
+        # a = 1, and with it the DU, is c_f 2^(n - 2w + 1)
+        for mask, c in ((0b11, 8), (0b111, 112), (0b101, 216), (0b1011, 1760)):  # chi, kappa, g0+g4, g0+g2+g6
+            assert _local_row_one_count(mask) == c, mask
+            w = 2 * mask.bit_length() - 1
+            for n in range(2 * w - 1, 15):
+                assert differential_uniformity(GammaCombination(mask, n)) == c << (n - 2 * w + 1), (mask, n)
 
 
 class TestKappaClosedForm:

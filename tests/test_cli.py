@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from shiftperm.cli import main
 from shiftperm.poly2 import BinPoly
 
-from checks import run_cli_bounded
+from checks import BoundedCli, run_cli_bounded
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 XI_300 = [5146971002709138, 55384499824371494704325294178347690, 2722258935367507707706996859454145691646]
@@ -389,12 +389,27 @@ def _argv(draw):
 CASE_BUDGET_S = 30
 
 
-def _main(*argvs) -> list:
+# one bounded child for each property test, kept across its examples
+@pytest.fixture(scope="module")
+def fuzz_cli():
+    cli = BoundedCli(CASE_BUDGET_S)
+    yield cli
+    cli.close()
+
+
+@pytest.fixture(scope="module")
+def spelling_cli():
+    cli = BoundedCli(CASE_BUDGET_S)
+    yield cli
+    cli.close()
+
+
+def _main(child, *argvs) -> list:
     """(exit code, stdout, stderr, seconds) of each command line.  Those with a
-    huge exponent run in a bounded child, where a regression that builds a
+    huge exponent run in the bounded child, where a regression that builds a
     10^10-bit int fails at once instead of exhausting memory."""
     if any(HUGE_MARK in arg for argv in argvs for arg in argv):
-        return run_cli_bounded(*argvs)
+        return [child.run(argv) for argv in argvs]
     runs = []
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
@@ -412,8 +427,8 @@ def _main(*argvs) -> list:
     max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(_argv())
-def test_fuzz_exit_codes(argv):
-    [(code, out, err, elapsed)] = _main(argv)
+def test_fuzz_exit_codes(fuzz_cli, argv):
+    [(code, out, err, elapsed)] = _main(fuzz_cli, argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err, argv
     assert elapsed < CASE_BUDGET_S, (argv, elapsed)
@@ -431,7 +446,7 @@ def test_fuzz_exit_codes(argv):
     _dim,
     _operand,
 )
-def test_poly_and_f_spellings_agree(verb, dim, text):
+def test_poly_and_f_spellings_agree(spelling_cli, verb, dim, text):
     head = verb + [dim] if verb[-1] == "--n" else verb
-    f_run, poly_run = _main(head + ["--f", text], head + ["--poly", text])
+    f_run, poly_run = _main(spelling_cli, head + ["--f", text], head + ["--poly", text])
     assert f_run[:3] == poly_run[:3], (head, text)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from math import isqrt
@@ -24,7 +25,7 @@ from shiftperm.poly2 import (
     x_power,
 )
 
-from checks import factor_product, run_bounded, shift_and_add, trial_factor
+from checks import factor_product, long_division, run_bounded, shift_and_add, trial_factor
 
 P = BinPoly.parse
 
@@ -346,11 +347,57 @@ class TestOrder:
                 assert divides == (l % o == 0), (f, l)
 
 
+def _ord2(t: int) -> int:
+    """The multiplicative order of 2 modulo an odd t; 1 for t = 1."""
+    return next(d for d in itertools.count(1) if pow(2, d, t) == 1 % t)
+
+
+def _x_order(f: int, cap: int):
+    """The least k <= cap with X^k = 1 modulo f, by repeated multiplication by X; None past cap."""
+    r = 1
+    for k in range(1, cap + 1):
+        r = long_division(r << 1, f)[1]
+        if r == 1:
+            return k
+    return None
+
+
 class TestFindIrreducibleOfOrder:
     def test_examples(self):
         assert find_irreducible_of_order(1) == P("11")
         assert find_irreducible_of_order(3) == P("111")
         assert find_irreducible_of_order(7) == P("1101")
+
+    def test_smallest_of_each_order_up_to_degree_12(self):
+        # every odd t with ord_t(2) <= 12: the smallest odd polynomial of degree
+        # ord_t(2) that trial division finds irreducible and in which X has order t
+        orders = [t for t in range(1, 1 << 12, 2) if _ord2(t) <= 12]
+        assert len(orders) == 40
+        for t in orders:
+            d = _ord2(t)
+            smallest = next(
+                f for f in range((1 << d) | 1, 1 << (d + 1), 2)
+                if _x_order(f, t) == t and trial_factor(f) == [(f, 1)]
+            )
+            assert find_irreducible_of_order(t).bits == smallest, t
+
+    def test_constructed_degrees_13_to_20(self):
+        pool = [t for t in range(3, 1 << 12, 2) if 12 < _ord2(t) <= 20]
+        for t in random.Random(15).sample(pool, 30):
+            f = find_irreducible_of_order(t).bits
+            assert f.bit_length() - 1 == _ord2(t), t
+            assert trial_factor(f) == [(f, 1)] and _x_order(f, t) == t, t
+
+    def test_factors_once_per_call(self, monkeypatch):
+        # 2^d - 1 once, in the enumeration (t = 13, 4095) and the construction (8191, 65537);
+        # a cold irreducible_polys makes the count independent of the test order
+        poly2.irreducible_polys.cache_clear()
+        calls = []
+        monkeypatch.setattr(poly2, "factor_int", lambda n: calls.append(n) or factor_int(n))
+        for t in (13, 4095, 8191, 65537):
+            calls.clear()
+            d = find_irreducible_of_order(t).degree
+            assert calls.count((1 << d) - 1) == 1, t
 
     def test_roundtrip_small_odd(self):
         for t in range(1, 52, 2):

@@ -29,9 +29,11 @@ from math import prod
 from . import poly2, tables
 from .bitstate import BitVector
 from .gammaspan import GammaCombination, phi, psi
-from .poly2 import BinPoly, ONE, X, ZERO, find_irreducible_of_order, x_power
+from .poly2 import BinPoly, BoundExceededError, ONE, X, ZERO, find_irreducible_of_order, x_power
 from .ring import Modulus, NonUnitError, ring_inverse, unit_witness
 from .tables import BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT
+
+XI_DIVISOR_CAP = 1 << 20  # divisors xi_upper_bound lists, summed over the 2^d - 1: 2^180 - 1 alone has 6291456
 
 __all__ = [
     "AnalysisReport",
@@ -125,12 +127,16 @@ def xi(f) -> frozenset:
 
 
 def xi_upper_bound(f) -> frozenset:
-    """Superset of xi needing only factor degrees: {2l : l | 2^d - 1}
-    over the distinct irreducible factor degrees d."""
+    """{2l : l | 2^d - 1} over the irreducible factor degrees d, a superset of xi; more
+    than XI_DIVISOR_CAP divisors in all raise BoundExceededError before any is listed."""
+    degrees = sorted({g.degree for g, _ in poly2.factor(_xi_operand(f))})
+    primes = [poly2.factor_int((1 << d) - 1) for d in degrees]
+    if (count := sum(prod(e + 1 for e in ps.values()) for ps in primes)) > XI_DIVISOR_CAP:
+        raise BoundExceededError(f"xi_upper_bound: {count} divisors of 2^d - 1, d in {degrees}, exceed {XI_DIVISOR_CAP}")
     out = set()
-    for d in {g.degree for g, _ in poly2.factor(_xi_operand(f))}:
+    for ps in primes:
         divisors = [1]
-        for p, e in poly2.factor_int((1 << d) - 1).items():
+        for p, e in ps.items():
             divisors = [q * p**k for q in divisors for k in range(e + 1)]
         out.update(2 * l for l in divisors)
     return frozenset(out)

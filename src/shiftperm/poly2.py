@@ -11,11 +11,13 @@ irreducibles by distinct and equal degrees, the multiplicative order
 of a polynomial (the least l with f dividing X^l + 1), and a
 deterministic search for an irreducible polynomial of prescribed order.
 
-Every order comes from one routine, _order_mod, which strips primes from
-a known multiple.  Orders need the primes of 2^d - 1; factor_int splits
-2^d - 1 into the cyclotomic values Phi_e(2), e | d, trial-divides by the
-primes below 256 and splits the rest by Brent's Pollard rho.  Primality
-is Baillie-PSW, exact below 2^64 with no known counterexample above.
+The irreducibility test is Ben-Or's (FOCS 1981): the distinct-degree
+loop of factor, stopped at its first block.  Every order comes from one
+routine, _order_mod, which strips primes from a known multiple.  Orders
+need the primes of 2^d - 1, the only integers factor_int is given; it
+splits them into the cyclotomic values Phi_e(2), e | d, trial-divides by
+the primes below 256 and splits the rest by Brent's Pollard rho.
+Primality is Baillie-PSW, exact below 2^64, no counterexample known above.
 
 Two text forms are accepted everywhere downstream: a binary string
 whose i-th character (left to right) is the coefficient of X^i, e.g.
@@ -297,26 +299,15 @@ def ext_gcd(a: BinPoly, b: BinPoly):
     return BinPoly(r0), BinPoly(s0)
 
 
-def _x_pow_2k_mod(k: int, m: int) -> int:
-    """X^(2^k) mod m, by k modular squarings."""
-    r = _mod_bits(2, m)
-    for _ in range(k):
-        r = _mod_bits(_square(r), m)
-    return r
-
-
 def is_irreducible(f: BinPoly) -> bool:
-    """Rabin's test: no nontrivial factor exists."""
-    d = f.degree
-    if d < 1:
+    """Ben-Or's test: factor's distinct-degree loop, stopped at its first
+    block.  gcd(f, X^(2^d) + X) holds once each irreducible factor of f of
+    degree dividing d, repeated ones and X included, so for any f, squarefree
+    or not, the first block comes at the least factor degree; it is the rest,
+    f itself of degree deg f, only if no factor has degree up to deg f / 2."""
+    if f.degree < 1:
         raise ValueError("irreducibility is undefined for constants")
-    if d == 1:
-        return True
-    fb = f.bits
-    for p in factor_int(d):
-        if _gcd_bits(_x_pow_2k_mod(d // p, fb) ^ 2, fb) != 1:
-            return False
-    return _x_pow_2k_mod(d, fb) == 2
+    return next(_distinct_degrees(f.bits))[0] == f.degree
 
 
 @functools.lru_cache(maxsize=None)
@@ -359,41 +350,43 @@ def _factor_into(fb: int, mult: int, counts: dict) -> None:
         _factor_into(BinPoly(fb).sqrt().bits, 2 * mult, counts)
         return
     c = _gcd_bits(fb, df)
-    w = _divmod_bits(fb, c)[0]
-    for gb in _split_squarefree(w):
-        counts[gb] = counts.get(gb, 0) + mult
+    for d, block in _distinct_degrees(_divmod_bits(fb, c)[0]):
+        for gb in _split_equal_degree(block, d):
+            counts[gb] = counts.get(gb, 0) + mult
     if c != 1:
         _factor_into(c, mult, counts)
 
 
-def _split_squarefree(wb: int) -> list:
-    """Distinct degrees: with the factors of degree below d divided out of w,
-    those of degree d multiply to gcd(w, X^(2^d) + X).  Past half the degree
-    of what is left, the rest is irreducible."""
-    out, h, d = [], 2, 1
+def _distinct_degrees(wb: int):
+    """(d, block) pairs of w, lazily: with the factors of degree below d divided
+    out, those of degree d multiply to the block gcd(w, X^(2^d) + X).  Past
+    half the degree of what is left, the rest is irreducible, its own block."""
+    h, d = 2, 1
     while 2 * d < wb.bit_length():
         h = _mod_bits(_square(h), wb)  # X^(2^d) mod w
         if (block := _gcd_bits(wb, h ^ 2)) != 1:
-            out += _split_equal_degree(block, d)
+            yield d, block
             wb = _divmod_bits(wb, block)[0]
         d += 1
-    return out + [wb] if wb != 1 else out
+    if wb != 1:
+        yield wb.bit_length() - 1, wb
 
 
 def _split_equal_degree(b: int, d: int) -> list:
     """The factors of a squarefree b whose factors all have degree d (Cantor
     and Zassenhaus, Math. Comp. 36, 1981): modulo each, the trace a + a^2 + ...
     + a^(2^(d-1)) is 0 or 1, so its gcd with b splits b for about half the a,
-    drawn from a generator seeded by b."""
+    drawn from a generator seeded by b.  A block of one factor returns first."""
+    if b.bit_length() - 1 == d:
+        return [b]
     rng = random.Random(b)
-    while b.bit_length() - 1 > d:
+    while True:
         a = t = rng.getrandbits(b.bit_length() - 1)
         for _ in range(d - 1):
             a = _mod_bits(_square(a), b)
             t ^= a
         if (g := _gcd_bits(b, t)) not in (1, b):
             return _split_equal_degree(g, d) + _split_equal_degree(_divmod_bits(b, g)[0], d)
-    return [b]
 
 
 _SMALL_PRIMES = [p for p in range(2, 256) if all(p % q for q in range(2, p))]

@@ -1,7 +1,7 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
-the shift-and-add product, long-division gcd and trial-division factoring the
-arithmetic tests compare against, the de Bruijn pair-graph oracle for
-permutation status, and bounded child-process runners.
+the shift-and-add product, long-division gcd, trial-division factoring and
+Rabin's irreducibility test the arithmetic tests compare against, the de Bruijn
+pair-graph oracle for permutation status, and bounded child-process runners.
 
 Each check raises AssertionError on the first violation and returns
 the number of cases it verified, so callers can sanity-check coverage.
@@ -79,6 +79,23 @@ def trial_factor(f: int) -> list:
             out.append((g, e))
         g += 1
     return out + [(f, 1)] if f != 1 else out
+
+
+def rabin_irreducible(f: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980) on a coefficient mask f of degree
+    d >= 1: f is irreducible iff X^(2^d) = X mod f and gcd(f, X^(2^(d/p)) + X) = 1
+    for every prime p dividing d."""
+    d = f.bit_length() - 1
+    x = long_division(2, f)[1]
+
+    def x_pow_2k(k):
+        r = x
+        for _ in range(k):
+            r = long_division(shift_and_add(r, r), f)[1]
+        return r
+
+    primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+    return all(euclid_gcd(f, x_pow_2k(d // p) ^ x) == 1 for p in primes) and x_pow_2k(d) == x
 
 
 def check_shift_invariance(max_n: int = 10) -> int:

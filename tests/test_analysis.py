@@ -1,4 +1,6 @@
 import random
+import re
+from math import prod
 
 import numpy as np
 import pytest
@@ -182,6 +184,17 @@ class TestXi:
         assert xi_upper_bound(TAU) == frozenset({2, 14})
         assert xi_upper_bound(chi()) == frozenset({2})
         assert xi_upper_bound(kappa()) == frozenset({2, 6})
+
+    def test_upper_bound_divisor_cap(self):
+        # the count is refused before any divisor is listed: 2^180 - 1, the first to pass
+        # the cap alone, has 6291456 divisors; 2^204 - 1 and 2^216 - 1 have 786432 and
+        # 655360, each within the cap, together past it
+        cases = [([180], [[0, 3, 180]], 6291456), ([204, 216], [[0, 2, 4, 5, 204], [0, 1, 3, 7, 216]], 1441792)]
+        for degrees, factors, count in cases:
+            f = prod((BinPoly.from_exponents(e) for e in factors), start=ONE)
+            message = f"xi_upper_bound: {count} divisors of 2^d - 1, d in {degrees}, exceed 1048576"
+            with pytest.raises(BoundExceededError, match=f"^{re.escape(message)}$"):
+                xi_upper_bound(f)
 
     def test_contained_in_upper_bound(self):
         rng = random.Random(2)

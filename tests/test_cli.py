@@ -172,6 +172,13 @@ class TestXiVerb:
         assert json.loads(out)["xi"] == XI_300
         assert seconds < CASE_BUDGET_S
 
+    def test_divisor_cap_exit_3(self):
+        # 1 + X + X^7 + X^17 + X^360 is irreducible, and 2^360 - 1 has 1610612736 divisors
+        [(code, out, err, seconds)] = run_cli_bounded(["xi", "--poly", "0,1,7,17,360"])
+        assert (code, out) == (3, "")
+        assert err == "xi_upper_bound: 1610612736 divisors of 2^d - 1, d in [360], exceed 1048576\n"
+        assert seconds < CASE_BUDGET_S
+
     def test_huge_exponent_exit_2(self):
         # no dimension reduces a formal exponent: past the cap it is refused before 1 << k is built
         argvs = [["xi", "--poly", "0,10000000000"], ["xi", "--f", "0,10000000000"],

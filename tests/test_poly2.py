@@ -25,7 +25,7 @@ from shiftperm.poly2 import (
     x_power,
 )
 
-from checks import factor_product, long_division, run_bounded, shift_and_add, trial_factor
+from checks import factor_product, long_division, rabin_irreducible, run_bounded, shift_and_add, trial_factor
 
 P = BinPoly.parse
 
@@ -220,9 +220,27 @@ class TestIrreducibility:
             assert is_irreducible(f) == (not _has_small_factor(f)), f
 
     def test_known_counts(self):
-        counts = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30}
-        for d, c in counts.items():
-            assert len(irreducible_polys(d)) == c
+        # (1/d) sum over e | d of mu(e) 2^(d/e), X and 1 + X at d = 1 included
+        def mobius(e):
+            primes = [p for p in range(2, e + 1) if e % p == 0 and all(p % q for q in range(2, p))]
+            return 0 if any(e % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+        counts = [sum(mobius(e) << d // e for e in range(1, d + 1) if d % e == 0) // d for d in range(1, 13)]
+        assert counts == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]
+        assert [len(irreducible_polys(d)) for d in range(1, 13)] == counts
+
+    def test_agrees_with_rabin(self):
+        # seeded random polynomials of degree 13..300, their irreducible factors of
+        # degree 13 up, and three primitive trinomials with and without a factor 1 + X + X^2
+        rng = random.Random(16)
+        cases = [rng.getrandbits(d) | 1 << d for d in (rng.randrange(13, 301) for _ in range(60))]
+        cases += [g.bits for f in cases for g, _ in factor(BinPoly(f)) if g.degree >= 13]
+        for exps in ([0, 1, 127], [0, 32, 521], [0, 105, 607]):
+            f = sum(1 << e for e in exps)
+            cases += [f, shift_and_add(f, 0b111)]
+        verdicts = [is_irreducible(BinPoly(f)) for f in cases]
+        assert verdicts == [rabin_irreducible(f) for f in cases]
+        assert 10 < sum(verdicts) < len(cases) - 10
 
 
 class TestFactor:
@@ -271,13 +289,13 @@ class TestFactor:
                 totient = sum(1 for j in range(1, e + 1) if math.gcd(j, e) == 1)
                 expected += [o] * (totient // o)
             assert sorted(g.degree for g, _ in fac) == sorted(expected), m
-            assert factor_product(fac) == f and all(e == 1 and is_irreducible(g) for g, e in fac), m
+            assert factor_product(fac) == f and all(e == 1 and rabin_irreducible(g.bits) for g, e in fac), m
 
     def test_degree_300(self):
         f = BinPoly.from_exponents([0, 1, 300])
         fac = factor(f)
         assert factor_product(fac) == f
-        assert all(is_irreducible(g) for g, _ in fac)
+        assert all(rabin_irreducible(g.bits) for g, _ in fac)
 
     def test_factors_sorted_and_distinct(self):
         fac = factor(P("11") * P("111") ** 2 * x_power(2))

@@ -43,6 +43,7 @@ __all__ = [
     "inverse",
     "xi",
     "xi_upper_bound",
+    "xi_sets",
     "inv_membership",
     "realize_xi",
     "algebraic_degree",
@@ -106,40 +107,45 @@ def inverse(f: GammaCombination, n: int | None = None) -> GammaCombination:
     return psi(ring_inverse(phi(g), mod), mod)
 
 
-def _xi_operand(f) -> BinPoly:
+def _xi_blocks(f) -> list:
     F = _formal_poly(f)
     if F.is_zero:
         raise ValueError("xi is undefined for the zero combination")
     if F.constant_term != 1:
         raise ValueError("xi applies to combinations containing gamma(0)")
-    return F
+    return poly2.factor_degrees(F)
 
 
-def xi(f) -> frozenset:
-    """The minimal forbidden dimensions: {2 ord(g)} over the distinct
-    irreducible factors g of the coefficient polynomial.
-
-    The map permutes F_2^n exactly when no element divides n; the set is
-    always finite and consists of doubled odd numbers.
-    """
-    F = _xi_operand(f)
-    return frozenset(2 * poly2._irreducible_order(g) for g, _ in poly2.factor(F))
-
-
-def xi_upper_bound(f) -> frozenset:
-    """{2l : l | 2^d - 1} over the irreducible factor degrees d, a superset of xi; more
-    than XI_DIVISOR_CAP divisors in all raise BoundExceededError before any is listed."""
-    degrees = sorted({g.degree for g, _ in poly2.factor(_xi_operand(f))})
-    primes = [poly2.factor_int((1 << d) - 1) for d in degrees]
-    if (count := sum(prod(e + 1 for e in ps.values()) for ps in primes)) > XI_DIVISOR_CAP:
+def _upper_bound(blocks) -> frozenset:
+    if (count := sum(prod(e + 1 for e in ps.values()) for _, ps, _ in blocks)) > XI_DIVISOR_CAP:
+        degrees = [d for d, _, _ in blocks]
         raise BoundExceededError(f"xi_upper_bound: {count} divisors of 2^d - 1, d in {degrees}, exceed {XI_DIVISOR_CAP}")
     out = set()
-    for ps in primes:
+    for _, ps, _ in blocks:
         divisors = [1]
         for p, e in ps.items():
             divisors = [q * p**k for q in divisors for k in range(e + 1)]
         out.update(2 * l for l in divisors)
     return frozenset(out)
+
+
+def xi(f) -> frozenset:
+    """The minimal forbidden dimensions, doubled odd numbers: {2 ord(g)} over the
+    distinct irreducible factors g of the coefficient polynomial.  The map
+    permutes F_2^n exactly when no element divides n."""
+    return frozenset(2 * o for o in poly2.factor_orders(_xi_blocks(f)))
+
+
+def xi_upper_bound(f) -> frozenset:
+    """{2l : l | 2^d - 1} over the irreducible factor degrees d, a superset of xi that needs
+    no order; more than XI_DIVISOR_CAP divisors in all raise BoundExceededError before any is listed."""
+    return _upper_bound(_xi_blocks(f))
+
+
+def xi_sets(f) -> tuple:
+    """(xi(f), xi_upper_bound(f)) from one factoring pass, the divisor cap checked before any order."""
+    bound = _upper_bound(blocks := _xi_blocks(f))
+    return frozenset(2 * o for o in poly2.factor_orders(blocks)), bound
 
 
 def inv_membership(f, n: int) -> bool:

@@ -142,8 +142,7 @@ def _run_compose(args) -> int:
 
 def _run_xi(args) -> int:
     f = _parse_combination(args, None)
-    values = sorted(analysis.xi(f))
-    bound = sorted(analysis.xi_upper_bound(f))
+    values, bound = map(sorted, analysis.xi_sets(f))  # the sets are freed before printing
     _emit([("f", combo_dict(f)), ("xi", values), ("xi_upper_bound", bound)], args.json)
     return 0
 

@@ -13,11 +13,13 @@ deterministic search for an irreducible polynomial of prescribed order.
 
 The irreducibility test is Ben-Or's (FOCS 1981): the distinct-degree
 loop of factor, stopped at its first block.  Every order comes from one
-routine, _order_mod, which strips primes from a known multiple.  Orders
-need the primes of 2^d - 1, the only integers factor_int is given; it
-splits them into the cyclotomic values Phi_e(2), e | d, trial-divides by
-the primes below 256 and splits the rest by Brent's Pollard rho.
-Primality is Baillie-PSW, exact below 2^64, no counterexample known above.
+routine, _order_mod, which strips primes from a known multiple: for a
+factor of degree d, from 2^d - 1.  factor and factor_int meet in one
+pass, factor_degrees, which factors f once and each 2^d - 1 once per
+degree; order, xi and xi's upper bound read it.  factor_int splits
+2^d - 1 into Phi_e(2), e | d, trial-divides by the primes below 256 and
+splits the rest by Brent's Pollard rho.  Primality is Baillie-PSW,
+exact below 2^64, no counterexample known above.
 
 Two text forms are accepted everywhere downstream: a binary string
 whose i-th character (left to right) is the coefficient of X^i, e.g.
@@ -513,11 +515,15 @@ def _order_mod(a: int, t: int, primes, m: int) -> int:
     return t
 
 
-def _irreducible_order(g: BinPoly) -> int:
-    """The order of an irreducible g with constant term 1 (1 + X included):
-    X^(2^d - 1) = 1 modulo g of degree d, so it is _order_mod over the primes of 2^d - 1."""
-    t = (1 << g.degree) - 1
-    return _order_mod(2, t, factor_int(t), g.bits)
+def factor_degrees(f: BinPoly) -> list:
+    """The factoring pass: (d, primes of 2^d - 1, ((g, e), ...)) for each factor degree d of f, ascending."""
+    blocks = itertools.groupby(factor(f), lambda ge: ge[0].degree)
+    return [(d, factor_int((1 << d) - 1), tuple(pairs)) for d, pairs in blocks]
+
+
+def factor_orders(blocks) -> list:
+    """The order of each factor in factor_degrees' blocks: _order_mod over the primes of 2^d - 1."""
+    return [_order_mod(2, (1 << d) - 1, primes, g.bits) for d, primes, pairs in blocks for g, _ in pairs]
 
 
 def order(f: BinPoly) -> int:
@@ -529,12 +535,9 @@ def order(f: BinPoly) -> int:
     """
     if f.is_zero or f.constant_term != 1:
         raise ValueError("order requires a constant term of 1")
-    result = 1
-    max_mult = 1
-    for g, e in factor(f):
-        result = lcm(result, _irreducible_order(g))
-        max_mult = max(max_mult, e)
-    return result << (max_mult - 1).bit_length()
+    blocks = factor_degrees(f)
+    max_mult = max((e for _, _, pairs in blocks for _, e in pairs), default=1)
+    return lcm(*factor_orders(blocks)) << (max_mult - 1).bit_length()
 
 
 _ENUMERATION_DEGREE = 12

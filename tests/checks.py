@@ -1,7 +1,8 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
 the shift-and-add product, long-division gcd, trial-division factoring and
-Rabin's irreducibility test the arithmetic tests compare against, the de Bruijn
-pair-graph oracle for permutation status, and bounded child-process runners.
+Rabin's irreducibility test the arithmetic tests compare against, the order of
+X by stepping, the de Bruijn pair-graph oracle for permutation status, call
+counters and bounded child-process runners.
 
 Each check raises AssertionError on the first violation and returns
 the number of cases it verified, so callers can sanity-check coverage.
@@ -79,6 +80,16 @@ def trial_factor(f: int) -> list:
             out.append((g, e))
         g += 1
     return out + [(f, 1)] if f != 1 else out
+
+
+def x_order(f: int, cap: int):
+    """The least k <= cap with X^k = 1 modulo f, by repeated multiplication by X; None past cap."""
+    r = 1
+    for k in range(1, cap + 1):
+        r = long_division(r << 1, f)[1]
+        if r == 1:
+            return k
+    return None
 
 
 def rabin_irreducible(f: int) -> bool:
@@ -281,6 +292,15 @@ for line in sys.stdin:
             code = e.code
     print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]), flush=True)
 """
+
+
+def count_calls(monkeypatch, module, *names) -> dict:
+    """Wrap each named function of module so that it logs its arguments: name -> list of calls."""
+    calls = {}
+    for name in names:
+        real, calls[name] = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda *a, real=real, log=calls[name]: log.append(a) or real(*a))
+    return calls
 
 
 def run_cli_bounded(*argvs, timeout: float = 60) -> list:

@@ -34,7 +34,10 @@ from checks import (
     check_pair_graph,
     check_p3k_identity,
     check_xi_membership,
+    count_calls,
     local_rule,
+    trial_factor,
+    x_order,
 )
 
 P = BinPoly.parse
@@ -168,22 +171,33 @@ class TestXi:
                 assert t % 2 == 0 and (t // 2) % 2 == 1, (f.mask, t)
 
     def test_factors_once_per_call(self, monkeypatch):
+        # the oracle is trial division and the order of X by stepping; f is factored once,
+        # 2^d - 1 once per factor degree d (the third polynomial has two factors of degree 4)
         rng = random.Random(9)
-        polys = [P("11") * P("111") ** 2 * P("1101"), P("10011") ** 3] + [
+        polys = [P("11") * P("111") ** 2 * P("1101"), P("10011") ** 3, P("10011") ** 3 * P("11001")] + [
             BinPoly(rng.randrange(1 << 12) | 1) for _ in range(20)
         ]
-        expected = [frozenset(2 * poly2.order(g) for g, _ in poly2.factor(F)) for F in polys]
-        factor, calls = poly2.factor, []
-        monkeypatch.setattr(poly2, "factor", lambda f: calls.append(f) or factor(f))
-        for F, want in zip(polys, expected):
-            calls.clear()
+        calls = count_calls(monkeypatch, poly2, "factor", "factor_int")
+        for F in polys:
+            factors = [g for g, _ in trial_factor(F.bits)]
+            want = frozenset(2 * x_order(g, (1 << g.bit_length() - 1) - 1) for g in factors)
+            for log in calls.values():
+                log.clear()
             assert xi(F) == want, F
-            assert len(calls) == 1, F
+            assert len(calls["factor"]) == 1, F
+            assert calls["factor_int"] == [((1 << d) - 1,) for d in sorted({g.bit_length() - 1 for g in factors})], F
 
-    def test_upper_bound_examples(self):
+    def test_upper_bound_examples(self, monkeypatch):
+        # the divisors of 2^d - 1 over the factor degrees d, and no order: the last operand
+        # has two factors of degree 4, and 1 + X + X^300 has degrees 54, 116 and 130
+        calls = count_calls(monkeypatch, poly2, "_order_mod")
         assert xi_upper_bound(TAU) == frozenset({2, 14})
         assert xi_upper_bound(chi()) == frozenset({2})
         assert xi_upper_bound(kappa()) == frozenset({2, 6})
+        assert xi_upper_bound(P("10011") ** 3 * P("11001") * P("1101")) == frozenset({2, 6, 10, 30, 14})
+        bound = xi_upper_bound(P("0,1,300"))
+        assert calls["_order_mod"] == []
+        assert xi(P("0,1,300")) <= bound and calls["_order_mod"]
 
     def test_upper_bound_divisor_cap(self):
         # the count is refused before any divisor is listed: 2^180 - 1, the first to pass

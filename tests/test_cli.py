@@ -6,16 +6,17 @@ import pathlib
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from shiftperm import poly2
 from shiftperm.cli import main
 from shiftperm.poly2 import BinPoly
 
-from checks import BoundedCli, run_cli_bounded
+from checks import BoundedCli, count_calls, run_cli_bounded
 
+P = BinPoly.parse
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 XI_300 = [5146971002709138, 55384499824371494704325294178347690, 2722258935367507707706996859454145691646]
 
@@ -187,15 +188,49 @@ class TestXiVerb:
             assert (code, out) == (2, ""), argv
             assert err == "exponent 10000000000 exceeds the cap 16777216 on formal operands\n", argv
 
-    def test_rho_budget_exit_3(self):
-        # 1 + X^21 + X^137 is irreducible, and rho needs about 10^10 steps on 2^137 - 1
-        argvs = [["xi", "--poly", "0,21,137"], ["analyze", "--n", "276", "--poly", "0,21,137"]]
-        with ThreadPoolExecutor(len(argvs)) as pool:
-            runs = list(pool.map(lambda argv: run_cli_bounded(argv)[0], argvs))
-        for argv, (code, out, err, seconds) in zip(argvs, runs):
-            assert (code, out) == (3, ""), argv
-            assert err == "factoring 2^137 - 1 needs more than 16777216 rho steps\n", argv
-            assert seconds < CASE_BUDGET_S, (argv, seconds)
+    def test_rho_budget_exit_3(self, capsys, monkeypatch):
+        # 1 + X^21 + X^137 is irreducible, and rho needs about 10^10 steps on 2^137 - 1: xi
+        # spends the whole budget in a child; analyze reaches the same refusal through xi,
+        # checked in-process with a small budget
+        [(code, out, err, seconds)] = run_cli_bounded(["xi", "--poly", "0,21,137"])
+        assert (code, out) == (3, "")
+        assert err == "factoring 2^137 - 1 needs more than 16777216 rho steps\n"
+        assert seconds < CASE_BUDGET_S
+        monkeypatch.setattr(poly2, "RHO_BUDGET", 1 << 16)
+        code, out, err = run(capsys, "analyze", "--n", "276", "--poly", "0,21,137")
+        assert (code, out, err) == (3, "", "factoring 2^137 - 1 needs more than 65536 rho steps\n")
+
+    def test_one_factoring_pass(self, capsys, monkeypatch):
+        # F once and 2^d - 1 once per factor degree d: two factors of degree 4, then
+        # 1 + X + X^300, whose factors have degrees 54, 116 and 130
+        calls = count_calls(monkeypatch, poly2, "factor", "factor_int")
+        cases = [
+            ((P("10011") ** 3 * P("11001")).to_string(), [4], [30], [2, 6, 10, 30]),
+            ("0,1,300", [54, 116, 130], XI_300, None),
+        ]
+        for text, degrees, want, bound in cases:
+            for log in calls.values():
+                log.clear()
+            code, out, _ = run(capsys, "xi", "--poly", text, "--json")
+            assert code == 0 and json.loads(out)["xi"] == want, text
+            assert bound is None or json.loads(out)["xi_upper_bound"] == bound, text
+            assert len(calls["factor"]) == 1, text
+            assert calls["factor_int"] == [((1 << d) - 1,) for d in degrees], text
+
+    def test_divisor_cap_computes_no_order(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, poly2, "_order_mod")
+        code, out, err = run(capsys, "xi", "--poly", "0,1,7,17,360")
+        assert (code, out) == (3, "")
+        assert err == "xi_upper_bound: 1610612736 divisors of 2^d - 1, d in [360], exceed 1048576\n"
+        assert calls["_order_mod"] == []
+
+    def test_divisor_cap_memory(self):
+        # 1 + X^2 + X^4 + X^5 + X^204 is irreducible, and 2^204 - 1 has 786432 divisors, within
+        # the cap: the one pass holds its blocks, xi and the 29 MB of bound at once
+        [(code, out, err, seconds)] = run_cli_bounded(["xi", "--poly", "0,2,4,5,204", "--json"])
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["xi_upper_bound"]) == 786432
+        assert seconds < CASE_BUDGET_S
 
 
 class TestEnumerate:

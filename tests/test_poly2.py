@@ -25,7 +25,9 @@ from shiftperm.poly2 import (
     x_power,
 )
 
-from checks import factor_product, long_division, rabin_irreducible, run_bounded, shift_and_add, trial_factor
+from checks import (
+    count_calls, factor_product, rabin_irreducible, run_bounded, shift_and_add, trial_factor, x_order,
+)
 
 P = BinPoly.parse
 
@@ -351,6 +353,21 @@ class TestOrder:
                 expect = base << (e - 1).bit_length()
                 assert order(g**e) == expect, (g, e)
 
+    def test_factors_once_per_degree(self, monkeypatch):
+        # f once, and 2^d - 1 once per factor degree d, here two factors of degree 4 and
+        # random f of degree up to 12, their degrees read off trial division
+        rng = random.Random(17)
+        polys = [P("10011") ** 3 * P("11001"), P("11") * P("111") ** 2 * P("1101") * P("1011")]
+        polys += [BinPoly(rng.randrange(1 << 12) | 1) for _ in range(20)]
+        calls = count_calls(monkeypatch, poly2, "factor", "factor_int")
+        for f in polys:
+            for log in calls.values():
+                log.clear()
+            assert order(f) == _order_bruteforce(f), f
+            assert len(calls["factor"]) == 1, f
+            degrees = sorted({g.bit_length() - 1 for g, _ in trial_factor(f.bits)})
+            assert calls["factor_int"] == [((1 << d) - 1,) for d in degrees], f
+
     def test_divides_iff(self):
         import random
 
@@ -370,16 +387,6 @@ def _ord2(t: int) -> int:
     return next(d for d in itertools.count(1) if pow(2, d, t) == 1 % t)
 
 
-def _x_order(f: int, cap: int):
-    """The least k <= cap with X^k = 1 modulo f, by repeated multiplication by X; None past cap."""
-    r = 1
-    for k in range(1, cap + 1):
-        r = long_division(r << 1, f)[1]
-        if r == 1:
-            return k
-    return None
-
-
 class TestFindIrreducibleOfOrder:
     def test_examples(self):
         assert find_irreducible_of_order(1) == P("11")
@@ -395,7 +402,7 @@ class TestFindIrreducibleOfOrder:
             d = _ord2(t)
             smallest = next(
                 f for f in range((1 << d) | 1, 1 << (d + 1), 2)
-                if _x_order(f, t) == t and trial_factor(f) == [(f, 1)]
+                if x_order(f, t) == t and trial_factor(f) == [(f, 1)]
             )
             assert find_irreducible_of_order(t).bits == smallest, t
 
@@ -404,7 +411,7 @@ class TestFindIrreducibleOfOrder:
         for t in random.Random(15).sample(pool, 30):
             f = find_irreducible_of_order(t).bits
             assert f.bit_length() - 1 == _ord2(t), t
-            assert trial_factor(f) == [(f, 1)] and _x_order(f, t) == t, t
+            assert trial_factor(f) == [(f, 1)] and x_order(f, t) == t, t
 
     def test_factors_once_per_call(self, monkeypatch):
         # 2^d - 1 once, in the enumeration (t = 13, 4095) and the construction (8191, 65537);

@@ -112,20 +112,15 @@ class BinPoly:
         return format(self.bits, "b")[::-1]
 
     def derivative(self) -> "BinPoly":
-        """Formal derivative; in characteristic 2 only odd-exponent terms survive."""
-        shifted = self.bits >> 1
-        if not shifted:
-            return BinPoly(0)
-        width = shifted.bit_length() + (shifted.bit_length() & 1)
-        even_positions = ((1 << width) - 1) // 3  # ...010101, ones at even indices
-        return BinPoly(shifted & even_positions)
+        """Formal derivative: of e(X^2) + X o(X^2) it is o(X^2), as 2 = 0."""
+        return BinPoly(_square(_deinterleave(self.bits)[1]))
 
     def sqrt(self) -> "BinPoly":
         """Square root of a perfect square (all exponents even)."""
-        coeffs = self.to_string()
-        if "1" in coeffs[1::2]:
+        even, odd = _deinterleave(self.bits)
+        if odd:
             raise ValueError("polynomial is not a perfect square")
-        return BinPoly(int(coeffs[::2][::-1], 2))
+        return BinPoly(even)
 
     def __bool__(self):
         return self.bits != 0
@@ -195,6 +190,10 @@ def x_power(k: int) -> BinPoly:
 
 _WINDOW_MIN_BITS = 256  # multiplier length from which the byte table pays for itself
 _KARATSUBA_MIN_BITS = 4096  # multiplier length from which Karatsuba splits pay for themselves
+_SPREAD_LOW = bytes(sum((b >> i & 1) << 2 * i for i in range(4)) for b in range(256))  # bits 0-3 to 0, 2, 4, 6
+_SPREAD_HIGH = bytes(_SPREAD_LOW[b >> 4] for b in range(256))  # bits 4-7 to 0, 2, 4, 6
+_EVENS = bytes(sum((b >> 2 * i & 1) << i for i in range(4)) for b in range(256))  # bits 0, 2, 4, 6 to 0-3
+_ODDS = bytes(_EVENS[b >> 1] for b in range(256))  # bits 1, 3, 5, 7 to 0-3
 
 
 def _clmul(a: int, b: int) -> int:
@@ -240,8 +239,22 @@ def _clmul(a: int, b: int) -> int:
 
 
 def _square(a: int) -> int:
-    """Carry-less square: bit i moves to bit 2i (squaring is linear over GF(2))."""
-    return int("0".join(format(a, "b")), 2)
+    """Carry-less square: bit i moves to bit 2i (squaring is linear over GF(2)).
+    Byte j of a spreads into bytes 2j and 2j + 1 of the square, its low and
+    its high nibble each through a 256-entry table, by bytes.translate."""
+    data = a.to_bytes((a.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(data))
+    out[0::2], out[1::2] = data.translate(_SPREAD_LOW), data.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
+
+
+def _deinterleave(a: int):
+    """(e, o) with a = e(X^2) + X o(X^2): the even- and the odd-indexed bits,
+    packed; bytes 2j and 2j + 1 of a give the low and high nibbles of byte j."""
+    data = a.to_bytes((a.bit_length() + 15) // 16 * 2, "little")
+    low, high = data[0::2], data[1::2]
+    return tuple(int.from_bytes(low.translate(t), "little") | int.from_bytes(high.translate(t), "little") << 4
+                 for t in (_EVENS, _ODDS))
 
 
 def _divmod_bits(a: int, b: int):
@@ -249,15 +262,19 @@ def _divmod_bits(a: int, b: int):
         raise ZeroDivisionError("division by the zero polynomial")
     db = b.bit_length()
     q = 0
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
+    while (shift := a.bit_length() - db) >= 0:
         a ^= b << shift
         q |= 1 << shift
     return q, a
 
 
 def _mod_bits(a: int, b: int) -> int:
-    return _divmod_bits(a, b)[1]
+    if b == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = b.bit_length()
+    while (shift := a.bit_length() - db) >= 0:
+        a ^= b << shift
+    return a
 
 
 def _gcd_bits(a: int, b: int) -> int:
@@ -289,15 +306,17 @@ def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
 
 
 def ext_gcd(a: BinPoly, b: BinPoly):
-    """Extended Euclid without the cofactor of b: (g, u) with g = gcd(a, b), u a = g mod b."""
+    """Extended Euclid without the cofactor of b: (g, u) with g = gcd(a, b), u a = g mod b;
+    each quotient bit X^shift updates the cofactor as it clears a leading term, no quotient is built."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    r0, r1 = a.bits, b.bits
-    s0, s1 = 1, 0
+    r0, r1, s0, s1 = a.bits, b.bits, 1, 0  # s_i a = r_i mod b
     while r1:
-        q, r = _divmod_bits(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ _clmul(q, s1)
+        d1 = r1.bit_length()
+        while (shift := r0.bit_length() - d1) >= 0:
+            r0 ^= r1 << shift
+            s0 ^= s1 << shift
+        r0, r1, s0, s1 = r1, r0, s1, s0
     return BinPoly(r0), BinPoly(s0)
 
 

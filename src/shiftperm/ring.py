@@ -23,10 +23,13 @@ of h-bit operands, which the Chinese remainder theorem joins as
 lo + X^h (lo + hi).  A unit is a representative with constant term 1
 that, on even n, is coprime to X^m + 1.  Its inverse is lifted by
 Newton's iteration u <- f u^2, which squares the modulus the congruence
-f u = 1 holds for: from mod X to mod X^h (or X^((n+1)/2) on odd n),
-and, on even n, from the inverse mod X^m + 1, which the extended
+f u = 1 holds for: to mod X^h (X^((n+1)/2) on odd n) from mod X^ceil(h/2),
+..., X, and, on even n, from the inverse mod X^m + 1, which the extended
 Euclidean algorithm finds on m-bit operands, to mod X^h + 1; the two
-halves are joined the same way.
+halves are joined the same way.  Squaring is additive over GF(2), so
+with f = e(X^2) + X o(X^2) a step is f u^2 = (e u)^2 + X (o u)^2: e u
+and o u are needed only mod X^ceil(k/2) on the way to X^k, or X^w + 1
+on the way to X^(2w) + 1, two products of half size for one of full size.
 
 unit_witness owns that unit criterion.  A failed inversion raises
 NonUnitError with X, or on even n the unit_witness gcd(f, X^m + 1) that
@@ -42,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly2
-from .poly2 import BinPoly, ONE, X, _clmul, _square, x_power
+from .poly2 import BinPoly, ONE, X, _clmul, _deinterleave, _square, x_power
 
 
-DIMENSION_CAP = 1 << 21  # largest n: invert at n = 2^21 - 2, twice an odd number (the slow case), takes 14.5 s on 2 cores
+DIMENSION_CAP = 1 << 21  # largest n: invert at n = 2^21 - 2, twice an odd number (the slow case), takes 12 s on 2 cores
 
 
 class NonUnitError(ValueError):
@@ -80,10 +83,7 @@ class Modulus:
     @property
     def odd_part(self) -> int:
         """The largest odd divisor m of n."""
-        m = self.n
-        while m % 2 == 0:
-            m //= 2
-        return m
+        return self.n >> ((self.n & -self.n).bit_length() - 1)
 
 
 def _fold(a: int, width: int) -> int:
@@ -145,14 +145,20 @@ def is_unit(a: BinPoly, mod: Modulus) -> bool:
     return a.constant_term == 1 and unit_witness(a, mod) == ONE
 
 
+def _split_step(f: int, u: int, cut) -> int:
+    """The Newton step f u^2 as (e u)^2 + X (o u)^2, f = e(X^2) + X o(X^2): two
+    products of half the size of f; cut reduces e u and o u before they are squared."""
+    e, o = _deinterleave(f)
+    return _square(cut(_clmul(e, u))) ^ _square(cut(_clmul(o, u))) << 1
+
+
 def _inverse_mod_x_power(f: int, k: int) -> int:
-    """Inverse mod X^k of f with constant term 1, by u <- f u^2 mod X^(2j)."""
-    u, j = 1, 1
-    while j < k:
-        j = min(2 * j, k)
-        low = (1 << j) - 1
-        u = _clmul(f & low, _square(u)) & low
-    return u
+    """Inverse mod X^k of f with constant term 1, by one split step from the inverse mod X^c,
+    c = ceil(k/2): e u is needed mod X^c, o u mod X^(k - c); both are cut to c bits, the step to k."""
+    if k == 1:
+        return 1
+    c = (k + 1) // 2
+    return _split_step(f & ((1 << k) - 1), _inverse_mod_x_power(f, c), lambda p: p & ((1 << c) - 1)) & ((1 << k) - 1)
 
 
 def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
@@ -168,9 +174,9 @@ def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
     if g != ONE:
         raise _non_unit(f, mod, g)
     hi, w = u.bits, m
-    while w < h:
+    while w < h:  # (p mod X^w + 1)^2 = p^2 mod X^(2w) + 1: the halves fold mod X^w + 1
+        hi = _split_step(_fold(f, 2 * w), hi, lambda p: _fold(p, w))
         w *= 2
-        hi = _fold(_clmul(_fold(f, w), _square(hi)), w)
     return BinPoly(_crt(_inverse_mod_x_power(f, h), hi, h))
 
 

@@ -1,5 +1,5 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
-the shift-and-add product, long-division gcd, trial-division factoring and
+the shift-and-add product, long-division gcd and inverse, trial-division factoring and
 Rabin's irreducibility test the arithmetic tests compare against, the order of
 X by stepping, the de Bruijn pair-graph oracle for permutation status, call
 counters and bounded child-process runners.
@@ -64,6 +64,16 @@ def euclid_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, long_division(a, b)[1]
     return a
+
+
+def euclid_inverse(a: int, m: int):
+    """The inverse of a modulo m, of degree below that of m, by extended Euclid on
+    long division and shift-and-add; None when gcd(a, m) is not 1."""
+    r0, r1, s0, s1 = m, long_division(a, m)[1], 0, 1  # s_i a = r_i mod m
+    while r1:
+        q, r = long_division(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 ^ shift_and_add(s1, q)
+    return long_division(s0, m)[1] if r0 == 1 else None
 
 
 def trial_factor(f: int) -> list:

@@ -26,7 +26,8 @@ from shiftperm.poly2 import (
 )
 
 from checks import (
-    count_calls, factor_product, rabin_irreducible, run_bounded, shift_and_add, trial_factor, x_order,
+    count_calls, euclid_gcd, factor_product, long_division, rabin_irreducible, run_bounded, shift_and_add,
+    trial_factor, x_order,
 )
 
 P = BinPoly.parse
@@ -116,6 +117,19 @@ class TestArithmetic:
             assert poly2._clmul(0, rng.getrandbits(length)) == 0
             assert poly2._clmul(rng.getrandbits(length), 0) == 0
 
+    def test_square_and_deinterleave_by_shift_and_add(self):
+        # byte boundaries and the Karatsuba size; all-ones fills every table entry's nibble
+        rng = random.Random(8)
+        for length in (0, 1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097, 30000):
+            for a in (rng.getrandbits(length) | (1 << length >> 1), (1 << length) - 1):
+                assert poly2._square(a) == shift_and_add(a, a), length
+                e, o = poly2._deinterleave(a)
+                assert a == shift_and_add(e, e) ^ shift_and_add(o, o) << 1, length
+                assert BinPoly(shift_and_add(e, e)).sqrt().bits == e, length
+                if o:
+                    with pytest.raises(ValueError):
+                        BinPoly(a).sqrt()
+
     def test_power_matches_repeated_product(self):
         rng = random.Random(9)
         for length in (1, 5, 70, 300):
@@ -182,6 +196,21 @@ class TestGcd:
             assert (a % g).is_zero
         if not b.is_zero:
             assert (b % g).is_zero
+
+    def test_ext_gcd_and_mod_by_long_division(self):
+        # zero operands, a | b and b | a, and operands of up to 3000 bits
+        rng = random.Random(9)
+        pairs = [(0, 0b1011), (0b1011, 0), (0b11, 0b1111), (0b1111, 0b11), (1, 1)]
+        for la, lb in ((20, 20), (200, 90), (90, 200), (3000, 3000), (3000, 40)):
+            a, b = rng.getrandbits(la), rng.getrandbits(lb) | 1
+            c = rng.getrandbits(la // 3)
+            pairs += [(a, b), (shift_and_add(c, b), b), (b, shift_and_add(c, b)), (a, a)]
+        for a, b in pairs:
+            g, u = ext_gcd(BinPoly(a), BinPoly(b))
+            assert g.bits == euclid_gcd(a, b), (a, b)
+            if b:
+                assert long_division(shift_and_add(u.bits, a) ^ g.bits, b)[1] == 0, (a, b)
+                assert poly2._mod_bits(a, b) == long_division(a, b)[1], (a, b)
 
     @given(nonzero_polys, nonzero_polys)
     def test_ext_gcd_normalized(self, a, b):

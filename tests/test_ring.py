@@ -8,6 +8,7 @@ from shiftperm.poly2 import BinPoly, ONE, ZERO, X, factor, x_power
 from shiftperm.gammaspan import GammaCombination
 from shiftperm.ring import (
     DIMENSION_CAP,
+    _inverse_mod_x_power,
     Modulus,
     NonUnitError,
     is_unit,
@@ -17,7 +18,7 @@ from shiftperm.ring import (
     unit_group_order,
 )
 
-from checks import euclid_gcd, factor_product, long_division, shift_and_add
+from checks import euclid_gcd, euclid_inverse, factor_product, long_division, shift_and_add
 
 P = BinPoly.parse
 
@@ -203,13 +204,40 @@ class TestFoldedArithmetic:
                     # a factor (1 + X)^e, 0 < e < 2^(s+1), gives non-units of every multiplicity
                     e = rng.randrange(1, 2 * (n // mod.odd_part)) if j % 2 else 0
                     f = f * P("11") ** e % mod.poly
-                    g, u = poly2.ext_gcd(f, mod.poly)
-                    if g == ONE:
-                        assert ring_inverse(f, mod) == u % mod.poly, (n, f)
+                    u = euclid_inverse(f.bits, mod.poly.bits)
+                    if u is not None:
+                        assert ring_inverse(f, mod).bits == u, (n, f)
                         assert is_unit(f, mod)
                     else:
                         non_unit_witness(f, mod)
                         assert not is_unit(f, mod)
+
+    def test_inverse_mod_x_power_by_shift_and_add(self):
+        # the lift runs top-down over k, ceil(k/2), ceil(k/4), ..., 1; odd k need the ceiling
+        rng = random.Random(24)
+        for k in list(range(1, 301)) + [2**15 - 1, 2**15, 2**15 + 1, 30001]:
+            f = rng.getrandbits(k + rng.randrange(3)) | 1
+            u = _inverse_mod_x_power(f, k)
+            low = (1 << k) - 1
+            assert u.bit_length() <= k and shift_and_add(f & low, u) & low == 1, k
+
+    def test_inverse_by_shift_and_add_at_every_two_adic_exponent(self):
+        # n = 2^s m, s = 0..5: the high lift doubles X^m + 1 up to X^h + 1, h = n/2, s - 1 times
+        rng = random.Random(25)
+        for s in range(6):
+            for m in (1, 3, 15, 625, 1875):
+                n = m << s
+                mod = Modulus(n)
+                for j in range(4 if n < 5000 else 2):
+                    f = BinPoly(rng.getrandbits(mod.degree) | 1)
+                    if j % 2:  # a factor X or (1 + X)^e, 0 < e < 2^(s+1), makes a non-unit
+                        f = f * (X if n % 2 else P("11") ** rng.randrange(1, 2 << s)) % mod.poly
+                    if n % 2 == 0 and euclid_gcd(f.bits, 1 << m | 1) != 1 or not f.bits & 1:
+                        non_unit_witness(f, mod)
+                        continue
+                    u = ring_inverse(f, mod).bits
+                    assert u.bit_length() <= mod.degree, n
+                    assert long_division(shift_and_add(f.bits, u), mod.poly.bits)[1] == 1, n
 
     def test_mul_matches_shift_and_add(self):
         # on even n the product is joined from its residues mod X^h and X^h + 1

@@ -5,11 +5,13 @@ A map is given by --f or --poly, which take the same forms: "g0+g2+g4",
 a k-index (exponent) list "0,1,2", or a coefficient string "111".
 Reports echo both the gamma and the polynomial spelling.
 
-Output is aligned key/value text by default, a JSON tree with --json;
-both are byte-stable for identical inputs.  Exit codes: 0 success,
-1 semantic failure (e.g. inverting a non-permutation; the gcd witness
-that analyze prints is reported), 2 malformed command line or operand,
-3 a scan, search or factorization exceeded its bound, 141 stdout closed.
+Each verb returns its report as (key, value) pairs; main alone prints
+them, as aligned key/value text by default or a JSON tree with --json,
+both byte-stable for identical inputs.  main also owns every exit code:
+0 success, 1 semantic failure (e.g. inverting a non-permutation; the gcd
+witness that analyze prints is reported), 2 malformed command line or
+operand, 3 a scan, search or factorization exceeded its bound, 141
+stdout closed.
 """
 
 from __future__ import annotations
@@ -36,56 +38,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_f(p):
-        grp = p.add_mutually_exclusive_group(required=True)
-        grp.add_argument("--f", help="gamma combination: 'g0+g2+g4', k-indices '0,1,2', or coefficients '111'")
-        grp.add_argument("--poly", help="coefficient polynomial, same forms as --f: '111', '0,1,2' or 'g0+g2+g4'")
+    def verb(name, run, help, operand=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if operand:
+            grp = p.add_mutually_exclusive_group(required=True)
+            grp.add_argument("--f", help="gamma combination: 'g0+g2+g4', k-indices '0,1,2', or coefficients '111'")
+            grp.add_argument("--poly", dest="f", metavar="POLY",
+                             help="coefficient polynomial, same forms as --f: '111', '0,1,2' or 'g0+g2+g4'")
+        return p
 
-    p = sub.add_parser("analyze", help="full report for one map on F_2^n")
-    add_f(p)
+    p = verb("analyze", _run_analyze, "full report for one map on F_2^n")
     p.add_argument("--n", type=int, required=True, help="dimension")
     p.add_argument("--max-du", type=int, default=tables.DU_LIMIT,
                    help="largest n for the difference distribution scan")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("invert", help="compositional inverse of a permutation")
-    add_f(p)
+    p = verb("invert", _run_invert, "compositional inverse of a permutation")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("compose", help="composition f(g(x)) via the polynomial ring")
-    add_f(p)
+    p = verb("compose", _run_compose, "composition f(g(x)) via the polynomial ring")
     p.add_argument("--g", required=True, help="inner map, same forms as --f")
     p.add_argument("--n", type=int, default=None,
                    help="dimension; omit for the formal (every-n) composition")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("xi", help="forbidden dimensions of a map (independent of n)")
-    add_f(p)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("enumerate", help="all permutations among gamma combinations on F_2^n")
+    verb("xi", _run_xi, "forbidden dimensions of a map (independent of n)")
+    p = verb("enumerate", _run_enumerate, "all permutations among gamma combinations on F_2^n", operand=False)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("du", help="differential uniformity by full scan")
-    add_f(p)
+    p = verb("du", _run_du, "differential uniformity by full scan")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-du", type=int, default=tables.DU_LIMIT)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("table1", help="inverse coefficients of kappa for n = 8, 10, 14, 16")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("realize", help="a map whose xi matches the given targets")
+    verb("table1", _run_table1, "inverse coefficients of kappa for n = 8, 10, 14, 16", operand=False)
+    p = verb("realize", _run_realize, "a map whose xi matches the given targets", operand=False)
     p.add_argument("--targets", required=True, help="comma list of doubled odd numbers, e.g. '6,14'")
-    p.add_argument("--json", action="store_true")
 
+    for p in sub.choices.values():  # last, so that each usage line ends in [--json]
+        p.add_argument("--json", action="store_true")
     return parser
-
-
-def _parse_combination(args, n=None) -> GammaCombination:
-    return GammaCombination.parse(args.poly if args.f is None else args.f, n)
 
 
 def _emit(pairs, as_json: bool) -> None:
@@ -101,7 +91,7 @@ def _emit(pairs, as_json: bool) -> None:
             flat.append((key, " ".join(str(v) for v in value)))
         else:
             flat.append((key, value))
-    width = max(len(k) for k, _ in flat)
+    width = max(len(str(k)) for k, _ in flat)
     for key, value in flat:
         shown = "-" if value is None else value
         if isinstance(shown, bool):
@@ -109,122 +99,76 @@ def _emit(pairs, as_json: bool) -> None:
         print(f"{key:<{width}}  {shown}")
 
 
-def _run_analyze(args) -> int:
-    f = _parse_combination(args, args.n)
-    report = analysis.analyze(f, du_limit=args.max_du)
-    d = report.to_dict()
-    _emit(list(d.items()), args.json)
-    return 0
+def _run_analyze(args) -> list:
+    report = analysis.analyze(GammaCombination.parse(args.f, args.n), du_limit=args.max_du)
+    return list(report.to_dict().items())
 
 
-def _run_invert(args) -> int:
-    f = _parse_combination(args, args.n)
-    try:
-        inv = analysis.inverse(f)
-    except NonUnitError as e:
-        print(
-            f"not a permutation on F_2^{args.n}: gcd witness {e.witness.to_string()}",
-            file=sys.stderr,
-        )
-        return 1
-    _emit([("n", args.n), ("f", combo_dict(f)), ("inverse", combo_dict(inv))], args.json)
-    return 0
+def _run_invert(args) -> list:
+    f = GammaCombination.parse(args.f, args.n)
+    return [("n", args.n), ("f", combo_dict(f)), ("inverse", combo_dict(analysis.inverse(f)))]
 
 
-def _run_compose(args) -> int:
-    f = _parse_combination(args, args.n)
-    g = GammaCombination.parse(args.g, args.n)
-    result = compose(f, g)
-    pairs = [("n", args.n), ("f", combo_dict(f)), ("g", combo_dict(g)), ("composition", combo_dict(result))]
-    _emit(pairs, args.json)
-    return 0
+def _run_compose(args) -> list:
+    f, g = GammaCombination.parse(args.f, args.n), GammaCombination.parse(args.g, args.n)
+    composition = compose(f, g)
+    return [("n", args.n), ("f", combo_dict(f)), ("g", combo_dict(g)), ("composition", combo_dict(composition))]
 
 
-def _run_xi(args) -> int:
-    f = _parse_combination(args, None)
+def _run_xi(args) -> list:
+    f = GammaCombination.parse(args.f)
     values, bound = map(sorted, analysis.xi_sets(f))  # the sets are freed before printing
-    _emit([("f", combo_dict(f)), ("xi", values), ("xi_upper_bound", bound)], args.json)
-    return 0
+    return [("f", combo_dict(f)), ("xi", values), ("xi_upper_bound", bound)]
 
 
-def _run_enumerate(args) -> int:
+def _run_enumerate(args) -> list:
     degree = (args.n + 1) // 2 if args.n % 2 else args.n  # the scan bound is checked before the cap
     tables.check_limit(degree, tables.BIJECTIVITY_LIMIT, "unit enumeration")
     mod = Modulus(args.n)
-    perms = []
-    for mask in range(1, 1 << degree, 2):
-        if ring.is_unit(BinPoly(mask), mod):
-            perms.append(GammaCombination(mask, args.n))
-    count = unit_group_order(mod)
-    assert len(perms) == count, "unit enumeration disagrees with the order formula"
-    _emit(
-        [
-            ("n", args.n),
-            ("count", count),
-            ("permutations", [c.gamma_string() for c in perms]),
-        ],
-        args.json,
-    )
-    return 0
+    perms = [GammaCombination(m, args.n).gamma_string()
+             for m in range(1, 1 << degree, 2) if ring.is_unit(BinPoly(m), mod)]
+    assert len(perms) == unit_group_order(mod), "unit enumeration disagrees with the order formula"
+    return [("n", args.n), ("count", len(perms)), ("permutations", perms)]
 
 
-def _run_du(args) -> int:
-    f = _parse_combination(args, args.n)
+def _run_du(args) -> list:
+    f = GammaCombination.parse(args.f, args.n)
     value = analysis.differential_uniformity(f, limit=args.max_du)
-    _emit([("n", args.n), ("f", combo_dict(f)), ("differential_uniformity", value)], args.json)
-    return 0
+    return [("n", args.n), ("f", combo_dict(f)), ("differential_uniformity", value)]
 
 
-def _run_table1(args) -> int:
+def _run_table1(args) -> list:
     rows = []
     for n in TABLE1_DIMENSIONS:
         closed = analysis.kappa_inverse_closed_form(n)
-        lifted = ring.ring_inverse(phi(GammaCombination(0b111, n)), Modulus(n))
+        lifted = ring.ring_inverse(phi(GammaCombination(0b111, n)), Modulus(n))  # a unit: 6 does not divide n
         assert closed == lifted, f"closed form disagrees with the ring inverse at n={n}"
         rows.append((n, closed.to_string()))
     if args.json:
-        _emit([("rows", [{"n": n, "coefficients": s} for n, s in rows])], True)
-    else:
-        print("n   coefficients")
-        for n, s in rows:
-            print(f"{n:<3d} {s}")
-    return 0
+        return [("rows", [{"n": n, "coefficients": s} for n, s in rows])]
+    return [("n", "coefficients")] + rows  # _emit aligns the two columns
 
 
-def _run_realize(args) -> int:
+def _run_realize(args) -> list:
     targets = sorted(int(t) for t in args.targets.split(","))
     f = analysis.realize_xi(targets)  # its xi is the set of targets by construction
-    _emit([("targets", targets), ("f", combo_dict(f)), ("xi", sorted(set(targets)))], args.json)
-    return 0
-
-
-_HANDLERS = {
-    "analyze": _run_analyze,
-    "invert": _run_invert,
-    "compose": _run_compose,
-    "xi": _run_xi,
-    "enumerate": _run_enumerate,
-    "du": _run_du,
-    "table1": _run_table1,
-    "realize": _run_realize,
-}
+    return [("targets", targets), ("f", combo_dict(f)), ("xi", sorted(set(targets)))]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = _HANDLERS[args.verb](args)
+        _emit(args.run(args), args.json)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:  # the reader left: send the flush at exit to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except BoundExceededError as e:
         print(str(e), file=sys.stderr)
         return 3
-    except NonUnitError as e:
-        print(f"not a unit: gcd witness {e.witness.to_string()}", file=sys.stderr)
+    except NonUnitError as e:  # only invert lets it through; analyze reports the witness
+        print(f"not a permutation on F_2^{args.n}: gcd witness {e.witness.to_string()}", file=sys.stderr)
         return 1
     except ValueError as e:
         # operand that survived argparse but does not parse or validate

@@ -401,13 +401,14 @@ def _split_equal_degree(b: int, d: int) -> list:
     if b.bit_length() - 1 == d:
         return [b]
     rng = random.Random(b)
-    while True:
+    for _ in range(64):  # on two or more factors of degree d each draw splits with probability >= 1/2
         a = t = rng.getrandbits(b.bit_length() - 1)
         for _ in range(d - 1):
             a = _mod_bits(_square(a), b)
             t ^= a
         if (g := _gcd_bits(b, t)) not in (1, b):
             return _split_equal_degree(g, d) + _split_equal_degree(_divmod_bits(b, g)[0], d)
+    raise AssertionError(f"64 draws left a block of degree {b.bit_length() - 1} unsplit into degree {d}")
 
 
 _SMALL_PRIMES = [p for p in range(2, 256) if all(p % q for q in range(2, p))]

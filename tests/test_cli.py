@@ -19,6 +19,7 @@ from checks import BoundedCli, count_calls, run_cli_bounded
 P = BinPoly.parse
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 XI_300 = [5146971002709138, 55384499824371494704325294178347690, 2722258935367507707706996859454145691646]
+VERBS = ["analyze", "invert", "compose", "xi", "enumerate", "du", "table1", "realize"]
 
 
 def run(capsys, *argv):
@@ -342,15 +343,31 @@ class TestParsing:
             assert (code, err) == (0, "") and out, argv
 
     def test_argparse_failures_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["analyze", "--n", "8"])  # --f/--poly missing
-        assert info.value.code == 2
-        with pytest.raises(SystemExit) as info:
-            main(["analyze", "--n", "8", "--f", "0,1", "--poly", "11"])  # exclusive
-        assert info.value.code == 2
-        with pytest.raises(SystemExit) as info:
-            main(["frobnicate"])
-        assert info.value.code == 2
+        # exactly one of --f and --poly on the five operand verbs, neither on the other three
+        def exit_code(argv):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            return info.value.code, capsys.readouterr().err
+
+        operand_verbs = [["analyze", "--n", "8"], ["invert", "--n", "8"], ["compose", "--g", "g0", "--n", "8"],
+                         ["xi"], ["du", "--n", "8"]]
+        for head in operand_verbs:
+            code, err = exit_code(head + ["--f", "0,1", "--poly", "11"])
+            assert code == 2 and "argument --poly: not allowed with argument --f" in err, head
+            code, err = exit_code(head)
+            assert code == 2 and "one of the arguments --f --poly is required" in err, head
+        for head in (["enumerate", "--n", "4"], ["table1"], ["realize", "--targets", "6"]):
+            code, err = exit_code(head + ["--f", "0,1"])
+            assert code == 2 and "unrecognized arguments: --f 0,1" in err, head
+        assert exit_code(["frobnicate"])[0] == 2
+
+    def test_help_exits_0(self, capsys):
+        for argv in [["--help"]] + [[verb, "--help"] for verb in VERBS]:
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            out = capsys.readouterr().out
+            assert info.value.code == 0 and out.startswith("usage: shiftperm"), argv
+            assert argv == ["--help"] or "[--json]" in out, argv
 
 
 def test_import_leaves_sympy_out():
@@ -407,7 +424,7 @@ def _argv(draw):
     def optional(*args):
         return list(args) if draw(st.booleans()) else []
 
-    verb = draw(st.sampled_from(["analyze", "invert", "compose", "xi", "enumerate", "du", "table1", "realize"]))
+    verb = draw(st.sampled_from(VERBS))
     if verb == "analyze":
         argv = ["--n", draw(_int)] + operand()
         argv += optional("--max-du", draw(_int))

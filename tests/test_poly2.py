@@ -334,6 +334,19 @@ class TestFactor:
         assert pairs == sorted(pairs, key=lambda ge: (ge[0].degree, ge[0].bits))
         assert len({g for g, _ in pairs}) == len(pairs)
 
+    def test_splitter_gives_up_on_a_block_it_cannot_split(self):
+        # X^4 + X + 1 is irreducible, so no draw splits it as a block of degree-2 factors; run
+        # bounded, as a splitter that draws without end would stall the suite instead of failing
+        proc = run_bounded(
+            "from shiftperm.poly2 import _split_equal_degree\n"
+            "try:\n"
+            "    _split_equal_degree(0b10011, 2)\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n",
+            timeout=10,
+        )
+        assert proc.stdout == "64 draws left a block of degree 4 unsplit into degree 2\n", proc.stderr
+
 
 def _order_bruteforce(f):
     acc = X % f

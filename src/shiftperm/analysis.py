@@ -29,7 +29,7 @@ from math import prod
 from . import poly2, tables
 from .bitstate import BitVector
 from .gammaspan import GammaCombination, phi, psi
-from .poly2 import BinPoly, BoundExceededError, ONE, X, ZERO, find_irreducible_of_order, x_power
+from .poly2 import BinPoly, BoundExceededError, ONE, X, find_irreducible_of_order, x_power
 from .ring import Modulus, NonUnitError, ring_inverse, unit_witness
 from .tables import BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT
 
@@ -217,8 +217,6 @@ def kappa_cofactor(k: int) -> BinPoly:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return ZERO
     base = sum(1 << (3 * i) for i in range(k))
     return BinPoly(base ^ (base << 1))
 

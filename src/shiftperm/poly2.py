@@ -351,7 +351,7 @@ def factor(f: BinPoly) -> tuple:
     derivative means the polynomial is a perfect square), then each
     squarefree part is split by distinct degrees and each block of equal
     degree by Cantor-Zassenhaus.  Degrees past FACTOR_DEGREE_LIMIT raise
-    BoundExceededError; the orders of the factors are bounded by RHO_BUDGET.
+    BoundExceededError.  No order is computed here; factor_orders does that.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")

@@ -48,7 +48,7 @@ from . import poly2
 from .poly2 import BinPoly, ONE, X, _clmul, _deinterleave, _square, x_power
 
 
-DIMENSION_CAP = 1 << 21  # largest n: invert at n = 2^21 - 2, twice an odd number (the slow case), takes 12 s on 2 cores
+DIMENSION_CAP = 1 << 21  # largest n: invert at n = 2^21 - 2, twice an odd number (the slow case), takes 8 s on 2 cores
 
 
 class NonUnitError(ValueError):

@@ -1,9 +1,9 @@
 """Bit-sliced exhaustive evaluation over the full input space F_2^n.
 
 A value table is a numpy uint64 array indexed by the packed input x;
-entry x holds the packed output.  Building a table costs a handful of
-vectorized word operations per gamma term, which keeps scans over all
-2^n inputs (bijectivity, difference distribution) cheap at desk scale.
+entry x holds the packed output.  Building a table costs two vectorized
+rotations per coefficient position, which keeps scans over all 2^n
+inputs (bijectivity, difference distribution) cheap at desk scale.
 Everything here is brute force by design and guarded by explicit size
 limits.
 """
@@ -47,24 +47,18 @@ def rotate(vals: np.ndarray, j: int, n: int) -> np.ndarray:
     return ((vals >> np.uint64(j)) | (vals << np.uint64(n - j))) & full
 
 
-def gamma_table(k: int, n: int) -> np.ndarray:
-    """Value table of gamma(2k) on F_2^n."""
-    ids = domain(n)
-    if k == 0:
-        return ids
-    full = np.uint64((1 << n) - 1)
-    acc = rotate(ids, (2 * k) % n, n)
-    for j in sorted({jj % n for jj in range(1, 2 * k, 2)}):
-        acc &= rotate(ids, j, n) ^ full
-    return acc
-
-
 def function_table(mask: int, n: int) -> np.ndarray:
-    """Value table of the combination whose gamma(2k) coefficient is bit k of mask."""
-    out = np.zeros(1 << n, dtype=np.uint64)
+    """Value table of the combination whose gamma(2k) coefficient is bit k of mask.
+
+    gamma(2k) = S^{2k} keep with keep = prod_{j odd < 2k} (1 + S^j); gamma(2k + 2)
+    keeps every factor and adds 1 + S^{2k+1}, so one running keep serves all terms."""
+    ids = domain(n)
+    full = np.uint64((1 << n) - 1)
+    keep, out = np.full_like(ids, full), np.zeros_like(ids)
     for k in range(mask.bit_length()):
         if (mask >> k) & 1:
-            out ^= gamma_table(k, n)
+            out ^= rotate(ids, 2 * k, n) & keep
+        keep &= rotate(ids, 2 * k + 1, n) ^ full
     return out
 
 

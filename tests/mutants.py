@@ -1,0 +1,162 @@
+"""Mutation gate: every mutant in MUTANTS must make the tests named in its row fail.
+
+    python tests/mutants.py
+
+A row is (name, file under src/shiftperm, exact old text, new text, pytest node
+ids, equivalent).  The script copies src, tests and pyproject.toml to a
+temporary directory, checks there that the named tests pass, and then for each
+row replaces the old text (which must occur exactly once) in the copy, runs the
+named tests under checks.CHILD_MEMORY and a timeout, and puts the file back.
+A mutant the tests do not kill, or one that outlives its timeout, fails the
+gate.  Rows marked equivalent change no behaviour: they must survive, and a
+kill fails the gate too, as it shows the row's claim wrong.  The working tree
+is never edited.  Standard library only, apart from the project's own test
+helpers.
+
+The file name keeps the script out of pytest's collection.
+"""
+
+import os
+import pathlib
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
+from checks import _limit_memory  # noqa: E402  (the child limit, checks.CHILD_MEMORY)
+
+TIMEOUT = 120  # seconds per mutant; the named tests take a few seconds on the unmutated code
+
+TABLES = "tests/test_gammaspan.py::TestTablesAgainstScalar"
+GUARDS = "tests/test_analysis.py::test_guard_raises"
+INVERSE_MOD_X = "tests/test_ring.py::TestFoldedArithmetic::test_inverse_mod_x_power_by_shift_and_add"
+INVERSE = "tests/test_ring.py::TestFoldedArithmetic::test_inverse_matches_euclid"
+TWO_ADIC = ("tests/test_ring.py::TestFoldedArithmetic::"
+            "test_inverse_by_shift_and_add_at_every_two_adic_exponent")
+GCD = "tests/test_poly2.py::TestGcd::test_ext_gcd_and_mod_by_long_division"
+SQUARE = "tests/test_poly2.py::TestArithmetic::test_square_and_deinterleave_by_shift_and_add"
+
+
+def _guard(name, file, old, new="", equivalent=False):
+    """A row that drops a guard, killed by test_guard_raises unless it is equivalent."""
+    return (name, file, old, new, (GUARDS,), equivalent)
+
+
+MUTANTS = [
+    # function_table's running product
+    ("keep updated before the term", "tables.py",
+     "        if (mask >> k) & 1:\n            out ^= rotate(ids, 2 * k, n) & keep\n"
+     "        keep &= rotate(ids, 2 * k + 1, n) ^ full\n",
+     "        keep &= rotate(ids, 2 * k + 1, n) ^ full\n"
+     "        if (mask >> k) & 1:\n            out ^= rotate(ids, 2 * k, n) & keep\n",
+     (TABLES,), False),
+    ("keep takes S^(2k-1)", "tables.py",
+     "keep &= rotate(ids, 2 * k + 1, n)", "keep &= rotate(ids, 2 * k - 1, n)", (TABLES,), False),
+    ("term exponent reduced mod n (rotate reduces it)", "tables.py",
+     "rotate(ids, 2 * k, n) & keep", "rotate(ids, 2 * k % n, n) & keep", (TABLES,), True),
+    # the guards that only test_guard_raises reaches
+    _guard("_bind without a dimension", "analysis.py",
+           "        if f.n is None:\n"
+           '            raise ValueError("a dimension is required: pass n or bind the combination")\n'),
+    _guard("_bind to another dimension", "analysis.py",
+           "    if f.n is not None and f.n != n:\n"
+           '        raise ValueError(f"combination is bound to n={f.n}, not n={n}")\n'),
+    _guard("_formal_poly of another type", "analysis.py",
+           '    raise TypeError(f"expected a GammaCombination or BinPoly, got {type(f).__name__}")\n'),
+    _guard("inv_membership on n < 1", "analysis.py",
+           '    if n < 1:\n        raise ValueError("dimension must be at least 1")\n    return all(',
+           "    return all("),
+    _guard("perturb without gamma(0)", "analysis.py",
+           "    if F.constant_term != 1:\n"
+           '        raise ValueError("perturbation applies to combinations containing gamma(0)")\n'),
+    _guard("kappa_cofactor(k < 0)", "analysis.py",
+           '    if k < 0:\n        raise ValueError("k must be nonnegative")\n'),
+    _guard("GammaCombination of a negative mask", "gammaspan.py",
+           '        if mask < 0:\n            raise ValueError("coefficient mask must be nonnegative")\n'),
+    _guard("+ across dimensions", "gammaspan.py",
+           "        if self.n != other.n:\n"
+           '            raise ValueError("cannot add combinations on different dimensions")\n'),
+    _guard("compose_oracle across dimensions", "gammaspan.py",
+           '        raise ValueError("cannot compose combinations on different dimensions")\n    if f.n is None:\n',
+           "        pass\n    if f.n is None:\n"),
+    _guard("compose_oracle unbound", "gammaspan.py",
+           '    if f.n is None:\n        raise ValueError("oracle needs a bound dimension")\n'),
+    _guard("BinPoly of a negative mask", "poly2.py",
+           '        if bits < 0:\n            raise ValueError("coefficient mask must be nonnegative")\n'),
+    _guard("negative power (loops)", "poly2.py",
+           '        if e < 0:\n            raise ValueError("negative power of a polynomial")\n'),
+    _guard("_mod_bits by zero (loops)", "poly2.py",
+           '    if b == 0:\n        raise ZeroDivisionError("division by the zero polynomial")\n'
+           "    db = b.bit_length()\n    while",
+           "    db = b.bit_length()\n    while"),
+    _guard("x_power(k < 0) (1 << -1 raises)", "poly2.py",
+           '    if k < 0:\n        raise ValueError("exponent must be nonnegative")\n', equivalent=True),
+    _guard("irreducible_polys(degree < 1) (is_irreducible(1) raises)", "poly2.py",
+           '    if degree < 1:\n        raise ValueError("degree must be positive")\n', equivalent=True),
+    # the inverse on half-size products
+    ("split step without << 1", "ring.py",
+     "_square(cut(_clmul(o, u))) << 1", "_square(cut(_clmul(o, u)))", (INVERSE_MOD_X, INVERSE), False),
+    ("low lift recurses at floor(k/2)", "ring.py",
+     "    c = (k + 1) // 2\n", "    c = k // 2\n", (INVERSE_MOD_X,), False),
+    ("high lift not folded", "ring.py", "lambda p: _fold(p, w)", "lambda p: p", (INVERSE, TWO_ADIC), False),
+    ("ext_gcd cofactor without the shift", "poly2.py", "s0 ^= s1 << shift", "s0 ^= s1", (GCD,), False),
+    ("square nibble tables swapped", "poly2.py",
+     "data.translate(_SPREAD_LOW), data.translate(_SPREAD_HIGH)",
+     "data.translate(_SPREAD_HIGH), data.translate(_SPREAD_LOW)", (SQUARE,), False),
+]
+
+
+def run_tests(work: pathlib.Path, nodes) -> str:
+    """'passed', 'failed' (pytest exits nonzero: a test failed, or a module did not import) or
+    'hung'.  A hung run is killed with its whole process group, bounded children included."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    with subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes],
+        cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        preexec_fn=_limit_memory, start_new_session=True,
+    ) as proc:
+        try:
+            return "passed" if proc.wait(timeout=TIMEOUT) == 0 else "failed"
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            return "hung"
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="shiftperm-mutants-") as tmp:
+        work = pathlib.Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        nodes = sorted({node for r in MUTANTS for node in r[4]})
+        if run_tests(work, nodes) != "passed":  # this also catches a node id that names no test
+            print("the named tests do not pass on the unmutated code", file=sys.stderr)
+            return 1
+        for name, file, old, new, tests, equivalent in MUTANTS:
+            path = work / "src" / "shiftperm" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"FAIL  {name}: the old text occurs {text.count(old)} times in {file}")
+                bad += 1
+                continue
+            path.write_text(text.replace(old, new))
+            start = time.perf_counter()
+            outcome = run_tests(work, tests)
+            path.write_text(text)
+            ok = outcome == ("passed" if equivalent else "failed")
+            verdict = {"passed": "survived", "failed": "killed", "hung": "hung"}[outcome]
+            print(f"{'ok  ' if ok else 'FAIL'}  {verdict:8}  {time.perf_counter() - start:5.1f} s  {name}"
+                  + ("  (equivalent)" if equivalent else ""), flush=True)
+            bad += not ok
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants as expected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

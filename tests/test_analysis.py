@@ -23,7 +23,9 @@ from shiftperm.analysis import (
     xi_upper_bound,
 )
 from shiftperm.bitstate import BitVector
-from shiftperm.gammaspan import GammaCombination, chi, compose, evaluate, gamma_term, identity, kappa, phi
+from shiftperm.gammaspan import (
+    GammaCombination, chi, compose, compose_oracle, evaluate, gamma_term, identity, kappa, phi,
+)
 from shiftperm.poly2 import BinPoly, ONE, ZERO
 from shiftperm.ring import Modulus, NonUnitError, ring_inverse
 from shiftperm.tables import BoundExceededError
@@ -36,6 +38,7 @@ from checks import (
     check_xi_membership,
     count_calls,
     local_rule,
+    run_bounded,
     trial_factor,
     x_order,
 )
@@ -652,3 +655,38 @@ class TestAnalyze:
             report = analyze(GammaCombination(rng.randrange(1 << dim) | 1, n))
             assert (report.inverse is not None) == report.is_permutation
             assert all(t % 2 == 0 and (t // 2) % 2 == 1 for t in report.xi)
+
+
+# Each guard that no other test reaches: call -> the exception it raises.  Without its guard each
+# call returns, or raises another type; the last two then loop without end, so they run in a
+# bounded child.  x_power(-1) and irreducible_polys(0) are left out as equivalent mutants: without
+# their guards they still raise ValueError, from 1 << -1 and from is_irreducible(ONE).
+GUARDS = {
+    "algebraic_degree(kappa())": ValueError,
+    "algebraic_degree(kappa(5), 6)": ValueError,
+    "xi(5)": TypeError,
+    "inv_membership(kappa(), 0)": ValueError,
+    "perturb(gamma_term(1), ONE, 3)": ValueError,
+    "kappa_cofactor(-1)": ValueError,
+    "GammaCombination(-1)": ValueError,
+    "kappa(5) + kappa(6)": ValueError,
+    "compose_oracle(kappa(5), kappa(4))": ValueError,
+    "compose_oracle(kappa(), kappa())": ValueError,
+    "BinPoly(-1)": ValueError,
+    "BinPoly(1) ** -1": ValueError,
+    "poly2._mod_bits(5, 0)": ZeroDivisionError,
+}
+UNBOUNDED_WITHOUT_GUARD = ("BinPoly(1) ** -1", "poly2._mod_bits(5, 0)")
+
+
+@pytest.mark.parametrize("call", GUARDS)
+def test_guard_raises(call):
+    error = GUARDS[call]
+    if call in UNBOUNDED_WITHOUT_GUARD:
+        code = ("from shiftperm import poly2\nfrom shiftperm.poly2 import BinPoly\n"
+                f"try:\n    {call}\nexcept {error.__name__}:\n    print('raised')\n")
+        proc = run_bounded(code, timeout=10)
+        assert proc.stdout == "raised\n", proc.stderr
+    else:
+        with pytest.raises(error):
+            eval(call)

@@ -302,7 +302,7 @@ class TestLinearStructure:
             dim = n if n % 2 == 0 else (n + 1) // 2
             cols = []
             for k in range(dim):
-                t = tables.gamma_table(k, n)
+                t = tables.function_table(1 << k, n)
                 v = 0
                 for x, out in enumerate(t):
                     v |= int(out) << (n * x)
@@ -312,15 +312,19 @@ class TestLinearStructure:
 
 class TestTablesAgainstScalar:
     def test_gamma_table_matches_eval_gamma(self):
-        for n in (1, 2, 5, 6, 9, 12):
+        for n in range(1, 11):
             for k in (0, 1, 2, n // 2, n, 2 * n - 1):
-                tbl = tables.gamma_table(k, n)
-                for v in range(min(1 << n, 64)):
+                tbl = tables.function_table(1 << k, n)
+                for v in range(1 << n):
                     assert int(tbl[v]) == eval_gamma(k, BitVector(n, v)).bits, (n, k, v)
 
     def test_function_table_matches_evaluate(self):
-        f = GammaCombination.from_indices([0, 1, 4])
-        for n in (6, 9):
-            tbl = tables.function_table(f.mask, n)
-            for v in range(1 << n):
-                assert int(tbl[v]) == evaluate(f, BitVector(n, v)).bits
+        rng = random.Random(21)
+        for n in range(2, 13):
+            dim = n if n % 2 == 0 else (n + 1) // 2
+            inputs = range(1 << n) if n <= 9 else rng.sample(range(1 << n), 256)
+            for _ in range(6):
+                f = GammaCombination(rng.randrange(1, 1 << dim), n)
+                tbl = tables.function_table(f.mask, n)
+                for v in inputs:
+                    assert int(tbl[v]) == evaluate(f, BitVector(n, v)).bits, (n, f.mask, v)

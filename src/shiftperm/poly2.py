@@ -5,21 +5,19 @@ of X^i, so 0b1011 represents 1 + X + X^3.  BinPoly is a thin immutable
 wrapper around that int; the zero polynomial is BinPoly(0) and has
 degree -1.
 
-Besides ring arithmetic (+, *, divmod, gcd, extended gcd) the module
-provides an irreducibility test, complete factorization into
-irreducibles by distinct and equal degrees, the multiplicative order
-of a polynomial (the least l with f dividing X^l + 1), and a
-deterministic search for an irreducible polynomial of prescribed order.
+Besides ring arithmetic (+, *, divmod, gcd, extended gcd) the module provides an
+irreducibility test, complete factorization into irreducibles by distinct degrees and
+then by the traces of odd powers of X, with no random draws, the multiplicative order of
+a polynomial (the least l with f dividing X^l + 1), and a deterministic search for an
+irreducible polynomial of prescribed order.
 
-The irreducibility test is Ben-Or's (FOCS 1981): the distinct-degree
-loop of factor, stopped at its first block.  Every order comes from one
-routine, _order_mod, which strips primes from a known multiple: for a
-factor of degree d, from 2^d - 1.  factor and factor_int meet in one
-pass, factor_degrees, which factors f once and each 2^d - 1 once per
-degree; order, xi and xi's upper bound read it.  factor_int splits
-2^d - 1 into Phi_e(2), e | d, trial-divides by the primes below 256 and
-splits the rest by Brent's Pollard rho.  Primality is Baillie-PSW,
-exact below 2^64, no counterexample known above.
+The irreducibility test is Ben-Or's (FOCS 1981): the distinct-degree loop of factor,
+stopped at its first block.  Every order comes from one routine, _order_mod, which
+strips primes from a known multiple: for a factor of degree d, from 2^d - 1.  factor and
+factor_int meet in one pass, factor_degrees, which factors f once and each 2^d - 1 once
+per degree; order, xi and xi's upper bound read it.  factor_int splits 2^d - 1 into
+Phi_e(2), e | d, trial-divides by the primes below 256 and splits the rest by Brent's
+Pollard rho.  Primality is Baillie-PSW, exact below 2^64, no counterexample known above.
 
 Two text forms are accepted everywhere downstream: a binary string
 whose i-th character (left to right) is the coefficient of X^i, e.g.
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from math import gcd as int_gcd, isqrt, lcm, prod
 
 
@@ -350,7 +347,7 @@ def factor(f: BinPoly) -> tuple:
     Squarefree decomposition first (gcd with the derivative; a vanishing
     derivative means the polynomial is a perfect square), then each
     squarefree part is split by distinct degrees and each block of equal
-    degree by Cantor-Zassenhaus.  Degrees past FACTOR_DEGREE_LIMIT raise
+    degree by the traces of the odd powers of X.  Degrees past FACTOR_DEGREE_LIMIT raise
     BoundExceededError.  No order is computed here; factor_orders does that.
     """
     if f.is_zero:
@@ -393,22 +390,24 @@ def _distinct_degrees(wb: int):
         yield wb.bit_length() - 1, wb
 
 
-def _split_equal_degree(b: int, d: int) -> list:
-    """The factors of a squarefree b whose factors all have degree d (Cantor
-    and Zassenhaus, Math. Comp. 36, 1981): modulo each, the trace a + a^2 + ...
-    + a^(2^(d-1)) is 0 or 1, so its gcd with b splits b for about half the a,
-    drawn from a generator seeded by b.  A block of one factor returns first."""
+def _split_equal_degree(b: int, d: int, start: int = 1) -> list:
+    """The factors of a squarefree b whose factors all have degree d.  Modulo a factor g,
+    t = a + a^2 + ... + a^(2^(d-1)) is Tr(a mod g), 0 or 1, so gcd(b, t) holds the factors of
+    trace 0 (Cantor and Zassenhaus, Math. Comp. 36, 1981).  a = X^i, odd i < 2d, parts any two
+    factors g != h with roots x, y: Tr(x^i) + Tr(y^i) sums the i-th powers of the 2d roots of gh,
+    distinct, and nonzero for d >= 2 (at d = 1, i = 1 tells X from 1 + X), so by Vandermonde it is 1
+    at some i <= 2d, and as Tr(y^2) = Tr(y) also at the odd part of i.  Each part is whole under X^i
+    and under every power that left b whole, so it goes on from i + 2.  d = 4 needs X^(2d-1)."""
     if b.bit_length() - 1 == d:
         return [b]
-    rng = random.Random(b)
-    for _ in range(64):  # on two or more factors of degree d each draw splits with probability >= 1/2
-        a = t = rng.getrandbits(b.bit_length() - 1)
+    for i in range(start, 2 * d, 2):
+        a = t = 1 << i  # below b, of degree at least 2d
         for _ in range(d - 1):
             a = _mod_bits(_square(a), b)
             t ^= a
         if (g := _gcd_bits(b, t)) not in (1, b):
-            return _split_equal_degree(g, d) + _split_equal_degree(_divmod_bits(b, g)[0], d)
-    raise AssertionError(f"64 draws left a block of degree {b.bit_length() - 1} unsplit into degree {d}")
+            return _split_equal_degree(g, d, i + 2) + _split_equal_degree(_divmod_bits(b, g)[0], d, i + 2)
+    raise AssertionError(f"X^{2 * d - 1} left a block of degree {b.bit_length() - 1} unsplit into degree {d}")
 
 
 _SMALL_PRIMES = [p for p in range(2, 256) if all(p % q for q in range(2, p))]

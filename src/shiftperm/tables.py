@@ -1,7 +1,7 @@
 """Bit-sliced exhaustive evaluation over the full input space F_2^n.
 
 A value table is a numpy uint64 array indexed by the packed input x;
-entry x holds the packed output.  Building a table costs two vectorized
+entry x holds the packed output.  Building a table costs at most two vectorized
 rotations per coefficient position, which keeps scans over all 2^n
 inputs (bijectivity, difference distribution) cheap at desk scale.
 Everything here is brute force by design and guarded by explicit size
@@ -50,15 +50,16 @@ def rotate(vals: np.ndarray, j: int, n: int) -> np.ndarray:
 def function_table(mask: int, n: int) -> np.ndarray:
     """Value table of the combination whose gamma(2k) coefficient is bit k of mask.
 
-    gamma(2k) = S^{2k} keep with keep = prod_{j odd < 2k} (1 + S^j); gamma(2k + 2)
-    keeps every factor and adds 1 + S^{2k+1}, so one running keep serves all terms."""
+    gamma(2k) = S^{2k} keep with keep = prod_{j odd < 2k} (1 + S^j); gamma(2k) adds the
+    factor 1 + S^{2k-1} to the keep of gamma(2k - 2), so one running keep serves all terms,
+    and gamma(0) is the identity."""
     ids = domain(n)
     full = np.uint64((1 << n) - 1)
-    keep, out = np.full_like(ids, full), np.zeros_like(ids)
-    for k in range(mask.bit_length()):
+    keep, out = np.full_like(ids, full), ids.copy() if mask & 1 else np.zeros_like(ids)
+    for k in range(1, mask.bit_length()):
+        keep &= rotate(ids, 2 * k - 1, n) ^ full
         if (mask >> k) & 1:
             out ^= rotate(ids, 2 * k, n) & keep
-        keep &= rotate(ids, 2 * k + 1, n) ^ full
     return out
 
 

@@ -39,6 +39,10 @@ TWO_ADIC = ("tests/test_ring.py::TestFoldedArithmetic::"
             "test_inverse_by_shift_and_add_at_every_two_adic_exponent")
 GCD = "tests/test_poly2.py::TestGcd::test_ext_gcd_and_mod_by_long_division"
 SQUARE = "tests/test_poly2.py::TestArithmetic::test_square_and_deinterleave_by_shift_and_add"
+SPLIT_PAIRS = "tests/test_poly2.py::TestFactor::test_splitter_separates_every_pair_of_one_degree"
+CYCLOTOMIC = "tests/test_poly2.py::TestFactor::test_cyclotomic_blocks"
+LUCAS = tuple(f"tests/test_poly2.py::TestIntegers::{name}" for name in (
+    "test_strong_lucas_pseudoprimes_below_2_16", "test_is_prime_matches_sieve", "test_baillie_psw_rejects_pseudoprimes"))
 
 
 def _guard(name, file, old, new="", equivalent=False):
@@ -48,14 +52,14 @@ def _guard(name, file, old, new="", equivalent=False):
 
 MUTANTS = [
     # function_table's running product
-    ("keep updated before the term", "tables.py",
-     "        if (mask >> k) & 1:\n            out ^= rotate(ids, 2 * k, n) & keep\n"
-     "        keep &= rotate(ids, 2 * k + 1, n) ^ full\n",
-     "        keep &= rotate(ids, 2 * k + 1, n) ^ full\n"
+    ("term before the keep update", "tables.py",
+     "        keep &= rotate(ids, 2 * k - 1, n) ^ full\n"
      "        if (mask >> k) & 1:\n            out ^= rotate(ids, 2 * k, n) & keep\n",
+     "        if (mask >> k) & 1:\n            out ^= rotate(ids, 2 * k, n) & keep\n"
+     "        keep &= rotate(ids, 2 * k - 1, n) ^ full\n",
      (TABLES,), False),
-    ("keep takes S^(2k-1)", "tables.py",
-     "keep &= rotate(ids, 2 * k + 1, n)", "keep &= rotate(ids, 2 * k - 1, n)", (TABLES,), False),
+    ("keep takes S^(2k+1)", "tables.py",
+     "keep &= rotate(ids, 2 * k - 1, n)", "keep &= rotate(ids, 2 * k + 1, n)", (TABLES,), False),
     ("term exponent reduced mod n (rotate reduces it)", "tables.py",
      "rotate(ids, 2 * k, n) & keep", "rotate(ids, 2 * k % n, n) & keep", (TABLES,), True),
     # the guards that only test_guard_raises reaches
@@ -107,6 +111,19 @@ MUTANTS = [
     ("square nibble tables swapped", "poly2.py",
      "data.translate(_SPREAD_LOW), data.translate(_SPREAD_HIGH)",
      "data.translate(_SPREAD_HIGH), data.translate(_SPREAD_LOW)", (SQUARE,), False),
+    # the equal-degree splitter's odd powers of X
+    ("one odd power short", "poly2.py",
+     "range(start, 2 * d, 2)", "range(start, 2 * d - 2, 2)", (SPLIT_PAIRS,), False),
+    ("d squarings in the trace (Tr(a) + a)", "poly2.py",
+     "for _ in range(d - 1):\n            a = _mod_bits(_square(a), b)",
+     "for _ in range(d):\n            a = _mod_bits(_square(a), b)", (SPLIT_PAIRS,), False),
+    ("parts restart at X (only slower)", "poly2.py",
+     "_split_equal_degree(g, d, i + 2) + _split_equal_degree(_divmod_bits(b, g)[0], d, i + 2)",
+     "_split_equal_degree(g, d) + _split_equal_degree(_divmod_bits(b, g)[0], d)",
+     (SPLIT_PAIRS, CYCLOTOMIC), True),
+    # Baillie-PSW
+    ("Lucas halving by (n - 1)/2 = -1/2 (flips the signs of U and V together)", "poly2.py",
+     "(1 - D) // 4 % n, (n + 1) // 2", "(1 - D) // 4 % n, (n - 1) // 2", LUCAS, True),
 ]
 
 

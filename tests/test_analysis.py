@@ -503,6 +503,14 @@ class TestDifferenceRowOne:
             f = GammaCombination(mask, n)
             assert _row_one_max(f, n) == differential_uniformity(f), (mask, n)
 
+    def test_attains_du_on_random_masks_up_to_16(self):
+        # three seeded masks with every index below n/2 at each n = 13..16, past DU_LIMIT
+        rng = random.Random(13)
+        for n in range(13, 17):
+            for mask in (rng.randrange(1, 1 << ((n + 1) // 2)) for _ in range(3)):
+                f = GammaCombination(mask, n)
+                assert f.mask == mask and _row_one_max(f, n) == differential_uniformity(f, limit=16), (mask, n)
+
     def test_closed_form_from_the_local_count(self):
         # for n >= 2w - 1 the other n - 2w + 1 input bits are free, so the row
         # a = 1, and with it the DU, is c_f 2^(n - 2w + 1)

@@ -1,11 +1,15 @@
+import functools
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+import shiftperm
 from shiftperm import poly2
 from shiftperm.poly2 import (
     ONE,
@@ -335,8 +339,8 @@ class TestFactor:
         assert len({g for g, _ in pairs}) == len(pairs)
 
     def test_splitter_gives_up_on_a_block_it_cannot_split(self):
-        # X^4 + X + 1 is irreducible, so no draw splits it as a block of degree-2 factors; run
-        # bounded, as a splitter that draws without end would stall the suite instead of failing
+        # X^4 + X + 1 is irreducible, so no power of X splits it as a block of degree-2 factors;
+        # run bounded, as a splitter that tries without end would stall the suite instead of failing
         proc = run_bounded(
             "from shiftperm.poly2 import _split_equal_degree\n"
             "try:\n"
@@ -345,7 +349,25 @@ class TestFactor:
             "    print(e)\n",
             timeout=10,
         )
-        assert proc.stdout == "64 draws left a block of degree 4 unsplit into degree 2\n", proc.stderr
+        assert proc.stdout == "X^3 left a block of degree 4 unsplit into degree 2\n", proc.stderr
+
+    def test_splitter_separates_every_pair_of_one_degree(self):
+        # the docstring's bound: the odd powers of X up to X^(2d-1) part any two irreducibles of
+        # degree d, so every product of two (7035 pairs for d <= 10) and the product of all of one
+        # degree split into their factors; a power short of the bound leaves some pairs whole
+        pairs = 0
+        for d in range(1, 11):
+            polys = [g.bits for g in irreducible_polys(d)]
+            for g, h in itertools.combinations(polys, 2):
+                assert sorted(poly2._split_equal_degree(shift_and_add(g, h), d)) == [g, h], (g, h)
+                pairs += 1
+            assert sorted(poly2._split_equal_degree(functools.reduce(shift_and_add, polys), d)) == polys
+        assert pairs == 7035
+
+    def test_no_random_source(self):
+        # the splitter draws nothing: no module of the package, poly2 included, imports random
+        for info in pkgutil.iter_modules(shiftperm.__path__):
+            assert not hasattr(importlib.import_module(f"shiftperm.{info.name}"), "random"), info.name
 
 
 def _order_bruteforce(f):

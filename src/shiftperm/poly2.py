@@ -186,7 +186,7 @@ def x_power(k: int) -> BinPoly:
 
 
 _WINDOW_MIN_BITS = 256  # multiplier length from which the byte table pays for itself
-_KARATSUBA_MIN_BITS = 4096  # multiplier length from which Karatsuba splits pay for themselves
+_TOOM_MIN_BITS = 4096  # multiplier length from which Toom-3 splits pay for themselves
 _SPREAD_LOW = bytes(sum((b >> i & 1) << 2 * i for i in range(4)) for b in range(256))  # bits 0-3 to 0, 2, 4, 6
 _SPREAD_HIGH = bytes(_SPREAD_LOW[b >> 4] for b in range(256))  # bits 4-7 to 0, 2, 4, 6
 _EVENS = bytes(sum((b >> 2 * i & 1) << i for i in range(4)) for b in range(256))  # bits 0, 2, 4, 6 to 0-3
@@ -196,27 +196,40 @@ _ODDS = bytes(_EVENS[b >> 1] for b in range(256))  # bits 1, 3, 5, 7 to 0-3
 def _clmul(a: int, b: int) -> int:
     """Carry-less product.
 
-    From _KARATSUBA_MIN_BITS multiplier bits on, the operands are split
-    at half the length k of the longer one, and three products of halves,
-    a0 b0, a1 b1 and (a0 + a1)(b0 + b1), replace four; a multiplier of at
-    most k bits is not split, each half of the longer operand takes it
-    whole.  Below that a short multiplier is taken bit by bit, a longer
-    one a byte per step, from a table of the 256 multiples of the other
-    operand by the polynomials of degree below 8.  The threshold won a
-    sweep of 2048 to 8192 on random balanced products of 3000 to 60000
-    bits (CPython 3.11, 2-core x86-64 VM): at 30000 bits a product takes
-    5.9-6.2 ms with it against 8.8 ms on the byte table alone."""
+    From _TOOM_MIN_BITS multiplier bits on, Bodrato's Toom-3 over GF(2) (WAIFI
+    2007): with y = X^k, k a third of the longer length, a = a0 + a1 y + a2 y^2
+    and b alike, c = a b = c0 + c1 y + ... + c4 y^4 comes from five products of
+    thirds, its values at y = 0, 1, X, X + 1 and infinity, in place of nine.
+    Less c0 and c4, the values at 1, X and X + 1 are c1 + c2 + c3, X (c1 + c2 X
+    + c3 X^2) and (1 + X)(c1 + c2 + c3 + c2 X + c3 X^2): two exact divisions by
+    X and two by 1 + X give c1, c2, c3.  A multiplier of at most k bits is not
+    split, each third of the longer operand takes it whole.  Below that a short
+    multiplier is taken bit by bit, a longer one a byte per step, from a table
+    of the 256 multiples of the other operand by the polynomials of degree
+    below 8.  The threshold won a sweep of 3072 to 8192 on random balanced
+    products of 3000 to 60000 bits (CPython 3.11, 2-core x86-64 VM): 4096 took
+    0.85-1.02 of the time of the Karatsuba split it replaced up to 15000 bits,
+    0.72-0.92 at 30000 and 0.64-0.73 at 60000; 3072 took 1.10 at 30000, where it
+    cuts 1112-bit ninths.  At 10^6 bits a product takes 0.85-0.94 s, against 1.4-1.8 s."""
     if a < b:
         a, b = b, a
-    if b.bit_length() >= _KARATSUBA_MIN_BITS:
-        k = (a.bit_length() + 1) // 2
-        a0, a1 = a & ((1 << k) - 1), a >> k
+    if b.bit_length() >= _TOOM_MIN_BITS:
+        k = (a.bit_length() + 2) // 3
+        low = (1 << k) - 1
+        a0, a1, a2 = a & low, a >> k & low, a >> 2 * k
         if b >> k == 0:
-            return _clmul(a0, b) ^ (_clmul(a1, b) << k)
-        b0, b1 = b & ((1 << k) - 1), b >> k
-        low, high = _clmul(a0, b0), _clmul(a1, b1)
-        mid = _clmul(a0 ^ a1, b0 ^ b1) ^ low ^ high
-        return low ^ (mid << k) ^ (high << 2 * k)
+            return _clmul(a0, b) ^ _clmul(a1, b) << k ^ _clmul(a2, b) << 2 * k
+        b0, b1, b2 = b & low, b >> k & low, b >> 2 * k
+        v1, w1 = a0 ^ a1 ^ a2, b0 ^ b1 ^ b2  # at 1
+        v2, w2 = a0 ^ a1 << 1 ^ a2 << 2, b0 ^ b1 << 1 ^ b2 << 2  # at X
+        v3, w3 = v2 ^ v1 ^ a0, w2 ^ w1 ^ b0  # at X + 1
+        p0, p4 = _clmul(a0, b0), _clmul(a2, b2)  # c0 and c4 of c(y) = sum c_i y^i
+        q = p0 ^ p4 << 4
+        s = _clmul(v1, w1) ^ p0 ^ p4  # c1 + c2 + c3
+        t = _div_x1(_clmul(v3, w3) ^ q ^ p4)  # c1 + c2 + c3 + c2 X + c3 X^2
+        d = (_clmul(v2, w2) ^ q) >> 1 ^ t  # c1 + c2 X + c3 X^2 + t = c2 + c3
+        c3 = _div_x1((s ^ t) >> 1 ^ d)  # (c2 + c3 X + c2 + c3) / (1 + X)
+        return p0 ^ (s ^ d) << k ^ (d ^ c3) << 2 * k ^ c3 << 3 * k ^ p4 << 4 * k
     if b.bit_length() < _WINDOW_MIN_BITS:
         c = 0
         while b:
@@ -233,6 +246,29 @@ def _clmul(a: int, b: int) -> int:
     for byte in b.to_bytes((b.bit_length() + 7) // 8, "big"):
         c = (c << 8) ^ table[byte]
     return c
+
+
+def _div_x1(p: int) -> int:
+    """p / (1 + X) for a multiple p of 1 + X: bit i of the quotient is the XOR of bits
+    0..i of p, a prefix XOR of log2(n) shift-xors, cut to n - 1 bits for p of n bits."""
+    n, s = p.bit_length(), 1
+    while s < n:
+        p ^= p << s
+        s *= 2
+    return p & ((1 << n) - 1) >> 1
+
+
+def _mullo(a: int, b: int, k: int) -> int:
+    """The short product a b mod X^k (Mulders, AAECC 11, 2000).  With a = a0 + X^l a1, b
+    alike and 2l >= k, a1 b1 falls past X^k: a0 b0 in full and two short products of k - l
+    bits, a0 b1 and a1 b0; l = 0.7k.  Below _TOOM_MIN_BITS the truncated full product."""
+    mask = (1 << k) - 1
+    if k < _TOOM_MIN_BITS:
+        return _clmul(a & mask, b & mask) & mask
+    l = max((k + 1) // 2, 7 * k // 10)
+    low = (1 << l) - 1
+    cross = _mullo(a, b >> l, k - l) ^ _mullo(a >> l, b, k - l)
+    return (_clmul(a & low, b & low) ^ cross << l) & mask
 
 
 def _square(a: int) -> int:
@@ -280,17 +316,13 @@ def _gcd_bits(a: int, b: int) -> int:
     return a
 
 
-def _mulmod_bits(a: int, b: int, m: int) -> int:
-    return _mod_bits(_clmul(a, b), m)
-
-
 def _powmod_bits(base: int, e: int, m: int) -> int:
     result = _mod_bits(1, m)
     base = _mod_bits(base, m)
     while e:
         if e & 1:
-            result = _mulmod_bits(result, base, m)
-        base = _mulmod_bits(base, base, m)
+            result = _mod_bits(_clmul(result, base), m)
+        base = _mod_bits(_clmul(base, base), m)
         e >>= 1
     return result
 
@@ -592,8 +624,8 @@ def find_irreducible_of_order(t: int) -> BinPoly:
     for _ in range(d):
         coeffs = [0] + coeffs
         for i in range(len(coeffs) - 1):
-            coeffs[i] ^= _mulmod_bits(conj, coeffs[i + 1], p)
-        conj = _mulmod_bits(conj, conj, p)
+            coeffs[i] ^= _mod_bits(_clmul(conj, coeffs[i + 1]), p)
+        conj = _mod_bits(_clmul(conj, conj), p)
     f = sum(c << i for i, c in enumerate(coeffs))
     assert max(coeffs) == 1 and _powmod_bits(2, t, f) == 1 and _order_mod(2, t, primes, f) == t
     return BinPoly(f)

@@ -6,7 +6,8 @@ A row is (name, file under src/shiftperm, exact old text, new text, pytest node
 ids, equivalent).  The script copies src, tests and pyproject.toml to a
 temporary directory, checks there that the named tests pass, and then for each
 row replaces the old text (which must occur exactly once) in the copy, runs the
-named tests under checks.CHILD_MEMORY and a timeout, and puts the file back.
+named tests under checks.CHILD_MEMORY and a timeout, with the Hypothesis profile
+"mutants" from tests/conftest.py (no shrinking), and puts the file back.
 A mutant the tests do not kill, or one that outlives its timeout, fails the
 gate.  Rows marked equivalent change no behaviour: they must survive, and a
 kill fails the gate too, as it shows the row's claim wrong.  The working tree
@@ -39,6 +40,9 @@ TWO_ADIC = ("tests/test_ring.py::TestFoldedArithmetic::"
             "test_inverse_by_shift_and_add_at_every_two_adic_exponent")
 GCD = "tests/test_poly2.py::TestGcd::test_ext_gcd_and_mod_by_long_division"
 SQUARE = "tests/test_poly2.py::TestArithmetic::test_square_and_deinterleave_by_shift_and_add"
+TOOM = "tests/test_poly2.py::TestArithmetic::test_clmul_matches_shift_and_add_around_toom"
+MULLO = "tests/test_poly2.py::TestArithmetic::test_mullo_by_shift_and_add"
+RING_MUL = "tests/test_ring.py::TestFoldedArithmetic::test_mul_matches_shift_and_add"
 SPLIT_PAIRS = "tests/test_poly2.py::TestFactor::test_splitter_separates_every_pair_of_one_degree"
 CYCLOTOMIC = "tests/test_poly2.py::TestFactor::test_cyclotomic_blocks"
 LUCAS = tuple(f"tests/test_poly2.py::TestIntegers::{name}" for name in (
@@ -103,14 +107,26 @@ MUTANTS = [
            '    if degree < 1:\n        raise ValueError("degree must be positive")\n', equivalent=True),
     # the inverse on half-size products
     ("split step without << 1", "ring.py",
-     "_square(cut(_clmul(o, u))) << 1", "_square(cut(_clmul(o, u)))", (INVERSE_MOD_X, INVERSE), False),
+     "_square(mul(o, u)) << 1", "_square(mul(o, u))", (INVERSE_MOD_X, INVERSE), False),
     ("low lift recurses at floor(k/2)", "ring.py",
      "    c = (k + 1) // 2\n", "    c = k // 2\n", (INVERSE_MOD_X,), False),
-    ("high lift not folded", "ring.py", "lambda p: _fold(p, w)", "lambda p: p", (INVERSE, TWO_ADIC), False),
+    ("high lift not folded", "ring.py",
+     "lambda p, v: _fold(_clmul(p, v), w)", "lambda p, v: _clmul(p, v)", (INVERSE, TWO_ADIC), False),
     ("ext_gcd cofactor without the shift", "poly2.py", "s0 ^= s1 << shift", "s0 ^= s1", (GCD,), False),
     ("square nibble tables swapped", "poly2.py",
      "data.translate(_SPREAD_LOW), data.translate(_SPREAD_HIGH)",
      "data.translate(_SPREAD_HIGH), data.translate(_SPREAD_LOW)", (SQUARE,), False),
+    # Toom-3 and the short product
+    ("c4 weighted X^3 in the value at X", "poly2.py", "q = p0 ^ p4 << 4", "q = p0 ^ p4 << 3", (TOOM,), False),
+    ("value at X + 1 taken at X (the ^ a0 dropped)", "poly2.py",
+     "v3, w3 = v2 ^ v1 ^ a0,", "v3, w3 = v2 ^ v1,", (TOOM,), False),
+    ("_div_x1 masked to n - 2 bits", "poly2.py",
+     "p & ((1 << n) - 1) >> 1", "p & ((1 << n) - 1) >> 2", (TOOM,), False),
+    ("_div_x1 keeping n bits (bit n - 1 is p(1) = 0)", "poly2.py",
+     "p & ((1 << n) - 1) >> 1", "p & ((1 << n) - 1)", (TOOM, MULLO, RING_MUL), True),
+    ("Mulders split at k // 2 - 1 (a1 b1 inside the kept bits)", "poly2.py",
+     "l = max((k + 1) // 2, 7 * k // 10)", "l = k // 2 - 1", (MULLO, RING_MUL), False),
+    ("cross terms shifted by k - l", "poly2.py", "cross << l", "cross << k - l", (MULLO, RING_MUL), False),
     # the equal-degree splitter's odd powers of X
     ("one odd power short", "poly2.py",
      "range(start, 2 * d, 2)", "range(start, 2 * d - 2, 2)", (SPLIT_PAIRS,), False),
@@ -132,7 +148,7 @@ def run_tests(work: pathlib.Path, nodes) -> str:
     'hung'.  A hung run is killed with its whole process group, bounded children included."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     with subprocess.Popen(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=mutants", *nodes],
         cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         preexec_fn=_limit_memory, start_new_session=True,
     ) as proc:

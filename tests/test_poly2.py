@@ -107,22 +107,33 @@ class TestArithmetic:
                 assert poly2._clmul(a, b) == shift_and_add(a, b), (la, lb)
         assert poly2._clmul(0, rng.getrandbits(2 * w)) == 0
 
-    def test_clmul_matches_shift_and_add_around_karatsuba(self):
-        # balanced pairs split both operands; a multiplier of at most half
-        # the longer length (1 + t/2 against 3t, t against 2t + 2) splits one
+    def test_clmul_matches_shift_and_add_around_toom(self):
+        # the longer length cuts into thirds of k = ceil(la/3) bits: t - 1 stays on the byte
+        # table, the products of the thirds of 3t - 1, 3t and 3t + 1 fall on either side of t,
+        # 9t + 2 cuts twice; against 9t + 2 a multiplier of 3t + 1 = k bits is not split and
+        # one of 6t + 2 = 2k has no top third
         rng = random.Random(8)
-        t = poly2._KARATSUBA_MIN_BITS
-        lengths = (1 + t // 2, t - 1, t, t + 1, 2 * t, 2 * t + 2, 3 * t)
-        for la in lengths:
-            for lb in lengths:
-                a, b = rng.getrandbits(la) | (1 << (la - 1)), rng.getrandbits(lb) | (1 << (lb - 1))
-                assert poly2._clmul(a, b) == shift_and_add(a, b), (la, lb)
-        for length in (t, 3 * t):
+        t = poly2._TOOM_MIN_BITS
+        lengths = (t - 1, t, t + 1, 2 * t + 2, 3 * t - 1, 3 * t, 3 * t + 1, 6 * t + 2, 9 * t + 2)
+        for la, lb in itertools.combinations_with_replacement(lengths, 2):
+            a, b = rng.getrandbits(la) | (1 << (la - 1)), rng.getrandbits(lb) | (1 << (lb - 1))
+            assert poly2._clmul(a, b) == shift_and_add(a, b), (la, lb)
+            # monomials leave thirds, values and the quotients by 1 + X zero
+            assert poly2._clmul(1 << la - 1, 1 << lb - 1 | 1) == 1 << la + lb - 2 | 1 << la - 1, (la, lb)
+        for length in (t, 9 * t + 2):
             assert poly2._clmul(0, rng.getrandbits(length)) == 0
             assert poly2._clmul(rng.getrandbits(length), 0) == 0
 
+    def test_mullo_by_shift_and_add(self):
+        # below t the truncated product; from t on Mulders' split, 7t splits twice
+        rng = random.Random(9)
+        t = poly2._TOOM_MIN_BITS
+        for k in (1, t - 1, t, t + 1, 2 * t + 1, 7 * t):
+            a, b = rng.getrandbits(k + 1 + rng.randrange(64)), rng.getrandbits(k + 1 + rng.randrange(64))
+            assert poly2._mullo(a, b, k) == shift_and_add(a, b) & ((1 << k) - 1), k
+
     def test_square_and_deinterleave_by_shift_and_add(self):
-        # byte boundaries and the Karatsuba size; all-ones fills every table entry's nibble
+        # byte boundaries and the Toom size; all-ones fills every table entry's nibble
         rng = random.Random(8)
         for length in (0, 1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097, 30000):
             for a in (rng.getrandbits(length) | (1 << length >> 1), (1 << length) - 1):

@@ -240,14 +240,17 @@ class TestFoldedArithmetic:
                     assert long_division(shift_and_add(f.bits, u), mod.poly.bits)[1] == 1, n
 
     def test_mul_matches_shift_and_add(self):
-        # on even n the product is joined from its residues mod X^h and X^h + 1
+        # on even n the product is joined from its residues mod X^h and X^h + 1; h = t and
+        # h = 3t + 1 take the short product mod X^h at and past the Toom threshold t, and the
+        # folded product mod X^h + 1 cut into thirds
         rng = random.Random(23)
-        for n in FOLD_DIMENSIONS + [60000, 60001]:
+        t = poly2._TOOM_MIN_BITS
+        for n in FOLD_DIMENSIONS + [2 * t - 1, 2 * t, 6 * t + 1, 6 * t + 2, 60000, 60001]:
             mod = Modulus(n)
             for _ in range(2 if n > 5144 else 6):
                 a, b = (BinPoly(rng.getrandbits(mod.degree)) for _ in range(2))
-                expect = BinPoly(shift_and_add(a.bits, b.bits)) % mod.poly
-                assert ring_mul(a, b, mod) == expect, n
+                expect = long_division(shift_and_add(a.bits, b.bits), mod.poly.bits)[1]
+                assert ring_mul(a, b, mod).bits == expect, n
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
     def test_witness_matches_gcd(self, s):

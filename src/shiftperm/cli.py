@@ -124,9 +124,12 @@ def _run_xi(args) -> list:
 def _run_enumerate(args) -> list:
     degree = (args.n + 1) // 2 if args.n % 2 else args.n  # the scan bound is checked before the cap
     tables.check_limit(degree, tables.BIJECTIVITY_LIMIT, "unit enumeration")
-    mod = Modulus(args.n)
-    perms = [GammaCombination(m, args.n).gamma_string()
-             for m in range(1, 1 << degree, 2) if ring.is_unit(BinPoly(m), mod)]
+    mod, units, perms = Modulus(args.n), {}, []
+    for mask in range(1, 1 << degree, 2):  # an odd F is a unit iff F mod X^m + 1 is: one gcd per residue
+        if (r := ring._fold(mask, mod.odd_part)) not in units:
+            units[r] = ring.is_unit(BinPoly(mask), mod)
+        if units[r]:
+            perms.append(GammaCombination(mask, args.n).gamma_string())
     assert len(perms) == unit_group_order(mod), "unit enumeration disagrees with the order formula"
     return [("n", args.n), ("count", len(perms)), ("permutations", perms)]
 

@@ -13,7 +13,8 @@ irreducible polynomial of prescribed order.
 
 The irreducibility test is Ben-Or's (FOCS 1981): the distinct-degree loop of factor,
 stopped at its first block.  Every order comes from one routine, _order_mod, which
-strips primes from a known multiple: for a factor of degree d, from 2^d - 1.  factor and
+strips primes from a known multiple: for a factor of degree d, from 2^d - 1; each test
+is X^e mod g, raised left to right by _powmod_bits, a shift per product by X.  factor and
 factor_int meet in one pass, factor_degrees, which factors f once and each 2^d - 1 once
 per degree; order, xi and xi's upper bound read it.  factor_int splits 2^d - 1 into
 Phi_e(2), e | d, trial-divides by the primes below 256 and splits the rest by Brent's
@@ -317,14 +318,19 @@ def _gcd_bits(a: int, b: int) -> int:
 
 
 def _powmod_bits(base: int, e: int, m: int) -> int:
-    result = _mod_bits(1, m)
-    base = _mod_bits(base, m)
-    while e:
-        if e & 1:
-            result = _mod_bits(_clmul(result, base), m)
-        base = _mod_bits(_clmul(base, base), m)
-        e >>= 1
-    return result
+    """base^e mod m, left to right (Knuth, TAOCP 2, 4.6.3): a square per bit of e from the top,
+    then a product by base where the bit is set.  The multiplier stays base mod m, not X^(2^i) as
+    right to left, so for base X, every order's, it is one shift and, past deg m, one XOR of m."""
+    base, r, top = _mod_bits(base, m), _mod_bits(1, m), m.bit_length() - 1
+    for bit in format(e, "b"):
+        r = _mod_bits(_clmul(r, r), m)
+        if bit == "1" and base == 2:
+            r <<= 1
+            if r >> top:
+                r ^= m
+        elif bit == "1":
+            r = _mod_bits(_clmul(r, base), m)
+    return r
 
 
 def gcd(a: BinPoly, b: BinPoly) -> BinPoly:
@@ -625,7 +631,7 @@ def find_irreducible_of_order(t: int) -> BinPoly:
         coeffs = [0] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] ^= _mod_bits(_clmul(conj, coeffs[i + 1]), p)
-        conj = _mod_bits(_clmul(conj, conj), p)
+        conj = _mod_bits(_square(conj), p)
     f = sum(c << i for i, c in enumerate(coeffs))
     assert max(coeffs) == 1 and _powmod_bits(2, t, f) == 1 and _order_mod(2, t, primes, f) == t
     return BinPoly(f)

@@ -1,5 +1,5 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
-the shift-and-add product, long-division gcd and inverse, trial-division factoring and
+the shift-and-add product, long-division power, gcd and inverse, trial-division factoring and
 Rabin's irreducibility test the arithmetic tests compare against, the order of
 X by stepping, the de Bruijn pair-graph oracle for permutation status, call
 counters and bounded child-process runners.
@@ -57,6 +57,17 @@ def long_division(a: int, b: int) -> tuple:
         a ^= b << shift
         q |= 1 << shift
     return q, a
+
+
+def powmod(base: int, e: int, m: int) -> int:
+    """base^e modulo a nonzero coefficient mask m, right to left on shift_and_add and long_division."""
+    r, base = long_division(1, m)[1], long_division(base, m)[1]
+    while e:
+        if e & 1:
+            r = long_division(shift_and_add(r, base), m)[1]
+        base = long_division(shift_and_add(base, base), m)[1]
+        e >>= 1
+    return r
 
 
 def euclid_gcd(a: int, b: int) -> int:

@@ -40,6 +40,7 @@ TWO_ADIC = ("tests/test_ring.py::TestFoldedArithmetic::"
             "test_inverse_by_shift_and_add_at_every_two_adic_exponent")
 GCD = "tests/test_poly2.py::TestGcd::test_ext_gcd_and_mod_by_long_division"
 SQUARE = "tests/test_poly2.py::TestArithmetic::test_square_and_deinterleave_by_shift_and_add"
+POWMOD = "tests/test_poly2.py::TestArithmetic::test_powmod_bits_by_shift_and_add"
 TOOM = "tests/test_poly2.py::TestArithmetic::test_clmul_matches_shift_and_add_around_toom"
 MULLO = "tests/test_poly2.py::TestArithmetic::test_mullo_by_shift_and_add"
 RING_MUL = "tests/test_ring.py::TestFoldedArithmetic::test_mul_matches_shift_and_add"
@@ -116,6 +117,17 @@ MUTANTS = [
     ("square nibble tables swapped", "poly2.py",
      "data.translate(_SPREAD_LOW), data.translate(_SPREAD_HIGH)",
      "data.translate(_SPREAD_HIGH), data.translate(_SPREAD_LOW)", (SQUARE,), False),
+    # the left-to-right ladder of _powmod_bits
+    ("X step without its XOR of m", "poly2.py", "            if r >> top:\n                r ^= m\n", "", (POWMOD,), False),
+    ("ladder skips the top bit of e", "poly2.py", 'for bit in format(e, "b"):', 'for bit in format(e, "b")[1:]:',
+     (POWMOD,), False),
+    ("shift path for every base", "poly2.py", 'if bit == "1" and base == 2:', 'if bit == "1":', (POWMOD,), False),
+    ("base == 2 tested before the reduction (shift and one XOR reduce exactly mod any m)", "poly2.py",
+     '    base, r, top = _mod_bits(base, m), _mod_bits(1, m), m.bit_length() - 1\n'
+     '    for bit in format(e, "b"):\n        r = _mod_bits(_clmul(r, r), m)\n        if bit == "1" and base == 2:',
+     '    shift, base, r, top = base == 2, _mod_bits(base, m), _mod_bits(1, m), m.bit_length() - 1\n'
+     '    for bit in format(e, "b"):\n        r = _mod_bits(_clmul(r, r), m)\n        if bit == "1" and shift:',
+     (POWMOD,), True),
     # Toom-3 and the short product
     ("c4 weighted X^3 in the value at X", "poly2.py", "q = p0 ^ p4 << 4", "q = p0 ^ p4 << 3", (TOOM,), False),
     ("value at X + 1 taken at X (the ^ a0 dropped)", "poly2.py",

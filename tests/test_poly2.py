@@ -30,7 +30,7 @@ from shiftperm.poly2 import (
 )
 
 from checks import (
-    count_calls, euclid_gcd, factor_product, long_division, rabin_irreducible, run_bounded, shift_and_add,
+    count_calls, euclid_gcd, factor_product, long_division, powmod, rabin_irreducible, run_bounded, shift_and_add,
     trial_factor, x_order,
 )
 
@@ -131,6 +131,17 @@ class TestArithmetic:
         for k in (1, t - 1, t, t + 1, 2 * t + 1, 7 * t):
             a, b = rng.getrandbits(k + 1 + rng.randrange(64)), rng.getrandbits(k + 1 + rng.randrange(64))
             assert poly2._mullo(a, b, k) == shift_and_add(a, b) & ((1 << k) - 1), k
+
+    def test_powmod_bits_by_shift_and_add(self):
+        # X takes the shift path, X + 1 and the rest the product; m ^ 2 reduces to X, m to 0
+        rng = random.Random(26)
+        moduli = [1, 2, 3] + [rng.getrandbits(d) | 1 << d for d in (2, 12, 32, 64, 137) for _ in range(2)]
+        exponents = [0, 1, rng.getrandbits(130)] + [e for k in (1, 2, 7, 64, 129) for e in (1 << k, (1 << k) - 1)]
+        for m in moduli:
+            d = m.bit_length() - 1
+            for base in (0, 1, 2, 3, rng.getrandbits(d), m, m ^ 2, rng.getrandbits(d + 40)):
+                for e in exponents:
+                    assert poly2._powmod_bits(base, e, m) == powmod(base, e, m), (base, e, m)
 
     def test_square_and_deinterleave_by_shift_and_add(self):
         # byte boundaries and the Toom size; all-ones fills every table entry's nibble

@@ -301,9 +301,11 @@ def analyze(f: GammaCombination, n: int | None = None, du_limit: int = DU_LIMIT)
     """Full report: permutation status and witness, inverse, xi, degrees,
     and (within its limit) the brute-forced differential uniformity.
 
-    The differential uniformity is None above its limit; everything else
-    is exact at any dimension.  xi's bounds refuse before the inversion,
-    whose NonUnitError carries is_permutation's witness.
+    The differential uniformity is None above its limit.  xi comes first,
+    and its bounds (FACTOR_DEGREE_LIMIT on the canonical polynomial,
+    RHO_BUDGET on each 2^d - 1) refuse the whole report with
+    BoundExceededError before the inversion, whose NonUnitError carries
+    is_permutation's witness.
     """
     g = _bind(f, n)
     tables.check_ceiling(du_limit, "difference distribution scan")

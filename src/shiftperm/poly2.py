@@ -259,19 +259,6 @@ def _div_x1(p: int) -> int:
     return p & ((1 << n) - 1) >> 1
 
 
-def _mullo(a: int, b: int, k: int) -> int:
-    """The short product a b mod X^k (Mulders, AAECC 11, 2000).  With a = a0 + X^l a1, b
-    alike and 2l >= k, a1 b1 falls past X^k: a0 b0 in full and two short products of k - l
-    bits, a0 b1 and a1 b0; l = 0.7k.  Below _TOOM_MIN_BITS the truncated full product."""
-    mask = (1 << k) - 1
-    if k < _TOOM_MIN_BITS:
-        return _clmul(a & mask, b & mask) & mask
-    l = max((k + 1) // 2, 7 * k // 10)
-    low = (1 << l) - 1
-    cross = _mullo(a, b >> l, k - l) ^ _mullo(a >> l, b, k - l)
-    return (_clmul(a & low, b & low) ^ cross << l) & mask
-
-
 def _square(a: int) -> int:
     """Carry-less square: bit i moves to bit 2i (squaring is linear over GF(2)).
     Byte j of a spreads into bytes 2j and 2j + 1 of the square, its low and

@@ -18,20 +18,19 @@ n = 2^s * m (m odd), the even modulus splits into the coprime parts
 
 so reduction is a fold: the bits from h upward are XOR-folded mod
 X^h + 1, where X^h = 1; the odd modulus is a mask.  On even n a product
-is found from its residues lo mod X^h, a short product (poly2._mullo)
-that forms only the low h bits, and hi mod X^h + 1, a whole product
-folded; the Chinese remainder theorem joins them as lo + X^h (lo + hi).
-On odd n the product is lo alone.  A unit is a representative with
-constant term 1 that, on even n, is coprime to X^m + 1.  Its inverse is
-lifted by Newton's iteration u <- f u^2, which squares the modulus the
-congruence f u = 1 holds for: to mod X^h (X^((n+1)/2) on odd n) from
-mod X^ceil(h/2), ..., X, and, on even n, from the inverse mod X^m + 1,
-which the extended Euclidean algorithm finds on m-bit operands, to mod
-X^h + 1; the two halves are joined the same way.  Squaring is additive
-over GF(2), so with f = e(X^2) + X o(X^2) a step is f u^2 = (e u)^2 +
-X (o u)^2: e u and o u are needed only mod X^ceil(k/2) on the way to
-X^k, two short products, or mod X^w + 1 on the way to X^(2w) + 1, two
-folded ones: two products of half size for one of full size.
+is found from its residues lo mod X^h and hi mod X^h + 1, two products
+of h-bit operands, the first cut to h bits and the second folded; the
+Chinese remainder theorem joins them as lo + X^h (lo + hi).  On odd n
+the product is lo alone.  A unit is a representative with constant term
+1 that, on even n, is coprime to X^m + 1.  Its inverse is lifted by
+Newton's iteration u <- f u^2, which squares the modulus the congruence
+f u = 1 holds for: to mod X^h (X^((n+1)/2) on odd n) from mod X^ceil(h/2),
+..., X, and, on even n, from the inverse mod X^m + 1, which the extended
+Euclidean algorithm finds on m-bit operands, to mod X^h + 1; the two
+halves are joined the same way.  Squaring is additive over GF(2), so
+with f = e(X^2) + X o(X^2) a step is f u^2 = (e u)^2 + X (o u)^2: e u
+and o u are needed only mod X^ceil(k/2) on the way to X^k, or X^w + 1
+on the way to X^(2w) + 1, two products of half size for one of full size.
 
 unit_witness owns that unit criterion.  A failed inversion raises
 NonUnitError with X, or on even n the unit_witness gcd(f, X^m + 1) that
@@ -47,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly2
-from .poly2 import BinPoly, ONE, X, _clmul, _deinterleave, _mullo, _square, x_power
+from .poly2 import BinPoly, ONE, X, _clmul, _deinterleave, _square, x_power
 
 
 DIMENSION_CAP = 1 << 21  # largest n: invert at n = 2^21 - 2, twice an odd number (the slow case), takes 8.4-9.6 s on 2 cores
@@ -120,11 +119,12 @@ def _crt(lo: int, hi: int, h: int) -> int:
 
 
 def ring_mul(a: BinPoly, b: BinPoly, mod: Modulus) -> BinPoly:
-    """Canonical product of cosets: a short product mod X^((n+1)/2) on odd n; on even
-    n from its residues mod X^h, a short product, and mod X^h + 1, a folded one."""
+    """Canonical product of cosets: mod X^((n+1)/2) on odd n; on even n from
+    its residues mod X^h and mod X^h + 1, two products of h-bit operands."""
     n, f, g = mod.n, a.bits, b.bits
     h = (n + 1) // 2
-    lo = _mullo(f, g, h)
+    low = (1 << h) - 1
+    lo = _clmul(f & low, g & low) & low
     if n % 2:
         return BinPoly(lo)
     hi = _fold(_clmul(_fold(f, h), _fold(g, h)), h)
@@ -146,20 +146,20 @@ def is_unit(a: BinPoly, mod: Modulus) -> bool:
     return a.constant_term == 1 and unit_witness(a, mod) == ONE
 
 
-def _split_step(f: int, u: int, mul) -> int:
+def _split_step(f: int, u: int, cut) -> int:
     """The Newton step f u^2 as (e u)^2 + X (o u)^2, f = e(X^2) + X o(X^2): two
-    products of half the size of f, mul(e, u) and mul(o, u), each as far as its square is needed."""
+    products of half the size of f; cut reduces e u and o u before they are squared."""
     e, o = _deinterleave(f)
-    return _square(mul(e, u)) ^ _square(mul(o, u)) << 1
+    return _square(cut(_clmul(e, u))) ^ _square(cut(_clmul(o, u))) << 1
 
 
 def _inverse_mod_x_power(f: int, k: int) -> int:
     """Inverse mod X^k of f with constant term 1, by one split step from the inverse mod X^c,
-    c = ceil(k/2): e u is needed mod X^c, o u mod X^(k - c); both are short products of c bits."""
+    c = ceil(k/2): e u is needed mod X^c, o u mod X^(k - c); both are cut to c bits, the step to k."""
     if k == 1:
         return 1
     c = (k + 1) // 2
-    return _split_step(f & ((1 << k) - 1), _inverse_mod_x_power(f, c), lambda p, v: _mullo(p, v, c)) & ((1 << k) - 1)
+    return _split_step(f & ((1 << k) - 1), _inverse_mod_x_power(f, c), lambda p: p & ((1 << c) - 1)) & ((1 << k) - 1)
 
 
 def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
@@ -176,7 +176,7 @@ def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
         raise _non_unit(f, mod, g)
     hi, w = u.bits, m
     while w < h:  # (p mod X^w + 1)^2 = p^2 mod X^(2w) + 1: the halves fold mod X^w + 1
-        hi = _split_step(_fold(f, 2 * w), hi, lambda p, v: _fold(_clmul(p, v), w))
+        hi = _split_step(_fold(f, 2 * w), hi, lambda p: _fold(p, w))
         w *= 2
     return BinPoly(_crt(_inverse_mod_x_power(f, h), hi, h))
 

@@ -1,5 +1,6 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
-the shift-and-add product, long-division power, gcd and inverse, trial-division factoring and
+a pointwise evaluator of combinations on one n-bit int, the shift-and-add
+product, long-division power, gcd and inverse, trial-division factoring and
 Rabin's irreducibility test the arithmetic tests compare against, the order of
 X by stepping, the de Bruijn pair-graph oracle for permutation status, call
 counters and bounded child-process runners.
@@ -68,6 +69,30 @@ def powmod(base: int, e: int, m: int) -> int:
         base = long_division(shift_and_add(base, base), m)[1]
         e >>= 1
     return r
+
+
+def pointwise_value(mask: int, n: int, x: int) -> int:
+    """Value at the packed state x in F_2^n of the combination whose gamma(2k)
+    coefficient is bit k of mask, on one n-bit int.  gamma(2k) is S^(2k) x times
+    the keep prod_{j odd < 2k} (1 + S^j x), so one running keep serves every
+    term: position j = 1, 2, ... costs one rotation of x by j, then one AND into
+    the keep at odd j, or one AND and one XOR into the value at j = 2k with bit
+    k set.  Once the keep is 0 no later term adds anything.  It calls nothing of
+    the package: the map-level checks rest on that."""
+    full = (1 << n) - 1
+    out, keep = x if mask & 1 else 0, full
+    for j in range(1, 2 * mask.bit_length() - 1):
+        if j % 2 == 0 and not mask >> j // 2 & 1:
+            continue
+        r = j % n
+        rotated = (x >> r | x << n - r) & full
+        if j % 2:
+            keep &= ~rotated
+            if not keep:
+                break
+        else:
+            out ^= rotated & keep
+    return out
 
 
 def euclid_gcd(a: int, b: int) -> int:

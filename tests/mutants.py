@@ -42,10 +42,10 @@ GCD = "tests/test_poly2.py::TestGcd::test_ext_gcd_and_mod_by_long_division"
 SQUARE = "tests/test_poly2.py::TestArithmetic::test_square_and_deinterleave_by_shift_and_add"
 POWMOD = "tests/test_poly2.py::TestArithmetic::test_powmod_bits_by_shift_and_add"
 TOOM = "tests/test_poly2.py::TestArithmetic::test_clmul_matches_shift_and_add_around_toom"
-MULLO = "tests/test_poly2.py::TestArithmetic::test_mullo_by_shift_and_add"
 RING_MUL = "tests/test_ring.py::TestFoldedArithmetic::test_mul_matches_shift_and_add"
 SPLIT_PAIRS = "tests/test_poly2.py::TestFactor::test_splitter_separates_every_pair_of_one_degree"
 CYCLOTOMIC = "tests/test_poly2.py::TestFactor::test_cyclotomic_blocks"
+SPELLINGS = "tests/test_cli.py::test_poly_and_f_spellings_agree"
 LUCAS = tuple(f"tests/test_poly2.py::TestIntegers::{name}" for name in (
     "test_strong_lucas_pseudoprimes_below_2_16", "test_is_prime_matches_sieve", "test_baillie_psw_rejects_pseudoprimes"))
 
@@ -108,11 +108,15 @@ MUTANTS = [
            '    if degree < 1:\n        raise ValueError("degree must be positive")\n', equivalent=True),
     # the inverse on half-size products
     ("split step without << 1", "ring.py",
-     "_square(mul(o, u)) << 1", "_square(mul(o, u))", (INVERSE_MOD_X, INVERSE), False),
+     "_square(cut(_clmul(o, u))) << 1", "_square(cut(_clmul(o, u)))", (INVERSE_MOD_X, INVERSE), False),
     ("low lift recurses at floor(k/2)", "ring.py",
      "    c = (k + 1) // 2\n", "    c = k // 2\n", (INVERSE_MOD_X,), False),
     ("high lift not folded", "ring.py",
-     "lambda p, v: _fold(_clmul(p, v), w)", "lambda p, v: _clmul(p, v)", (INVERSE, TWO_ADIC), False),
+     "lambda p: _fold(p, w)", "lambda p: p", (INVERSE, TWO_ADIC), False),
+    ("low lift cut dropped (bits from c on square to X^(2c), 2c >= k, and the step is cut to k)", "ring.py",
+     "lambda p: p & ((1 << c) - 1)", "lambda p: p", (INVERSE_MOD_X, INVERSE), True),
+    ("ring_mul lo without its final & low", "ring.py",
+     "lo = _clmul(f & low, g & low) & low", "lo = _clmul(f & low, g & low)", (RING_MUL,), False),
     ("ext_gcd cofactor without the shift", "poly2.py", "s0 ^= s1 << shift", "s0 ^= s1", (GCD,), False),
     ("square nibble tables swapped", "poly2.py",
      "data.translate(_SPREAD_LOW), data.translate(_SPREAD_HIGH)",
@@ -128,17 +132,14 @@ MUTANTS = [
      '    shift, base, r, top = base == 2, _mod_bits(base, m), _mod_bits(1, m), m.bit_length() - 1\n'
      '    for bit in format(e, "b"):\n        r = _mod_bits(_clmul(r, r), m)\n        if bit == "1" and shift:',
      (POWMOD,), True),
-    # Toom-3 and the short product
+    # Toom-3
     ("c4 weighted X^3 in the value at X", "poly2.py", "q = p0 ^ p4 << 4", "q = p0 ^ p4 << 3", (TOOM,), False),
     ("value at X + 1 taken at X (the ^ a0 dropped)", "poly2.py",
      "v3, w3 = v2 ^ v1 ^ a0,", "v3, w3 = v2 ^ v1,", (TOOM,), False),
     ("_div_x1 masked to n - 2 bits", "poly2.py",
      "p & ((1 << n) - 1) >> 1", "p & ((1 << n) - 1) >> 2", (TOOM,), False),
     ("_div_x1 keeping n bits (bit n - 1 is p(1) = 0)", "poly2.py",
-     "p & ((1 << n) - 1) >> 1", "p & ((1 << n) - 1)", (TOOM, MULLO, RING_MUL), True),
-    ("Mulders split at k // 2 - 1 (a1 b1 inside the kept bits)", "poly2.py",
-     "l = max((k + 1) // 2, 7 * k // 10)", "l = k // 2 - 1", (MULLO, RING_MUL), False),
-    ("cross terms shifted by k - l", "poly2.py", "cross << l", "cross << k - l", (MULLO, RING_MUL), False),
+     "p & ((1 << n) - 1) >> 1", "p & ((1 << n) - 1)", (TOOM, RING_MUL), True),
     # the equal-degree splitter's odd powers of X
     ("one odd power short", "poly2.py",
      "range(start, 2 * d, 2)", "range(start, 2 * d - 2, 2)", (SPLIT_PAIRS,), False),
@@ -149,6 +150,9 @@ MUTANTS = [
      "_split_equal_degree(g, d, i + 2) + _split_equal_degree(_divmod_bits(b, g)[0], d, i + 2)",
      "_split_equal_degree(g, d) + _split_equal_degree(_divmod_bits(b, g)[0], d)",
      (SPLIT_PAIRS, CYCLOTOMIC), True),
+    # the CLI
+    ("--poly without dest=\"f\"", "cli.py", 'grp.add_argument("--poly", dest="f", metavar="POLY",',
+     'grp.add_argument("--poly", metavar="POLY",', (SPELLINGS,), False),
     # Baillie-PSW
     ("Lucas halving by (n - 1)/2 = -1/2 (flips the signs of U and V together)", "poly2.py",
      "(1 - D) // 4 % n, (n + 1) // 2", "(1 - D) // 4 % n, (n - 1) // 2", LUCAS, True),

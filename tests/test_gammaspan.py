@@ -1,10 +1,12 @@
+import inspect
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftperm import tables
+from shiftperm import poly2, tables
+from shiftperm.analysis import inverse, is_permutation
 from shiftperm.bitstate import BitVector, eval_gamma
 from shiftperm.gammaspan import (
     GammaCombination,
@@ -21,6 +23,8 @@ from shiftperm.gammaspan import (
 from shiftperm.poly2 import BinPoly
 from shiftperm.ring import Modulus, reduce, ring_mul
 from shiftperm.tables import BoundExceededError
+
+from checks import pointwise_value
 
 
 def monoid_masks(n):
@@ -280,6 +284,59 @@ class TestCompose:
     def test_oracle_bound(self):
         with pytest.raises(BoundExceededError):
             compose_oracle(chi(17), chi(17))
+
+
+class TestPointwiseMaps:
+    """The map-level claims (composition is the ring product, the inverse map the ring
+    inverse) checked past the table limits by checks.pointwise_value."""
+
+    def test_evaluator_matches_eval_gamma(self):
+        # every term k <= 2n (wrapping and vanishing included) and random sums, every input
+        rng = random.Random(27)
+        for n in range(1, 11):
+            masks = [1 << k for k in range(2 * n + 1)] + [rng.getrandbits(2 * n + 1) for _ in range(4)]
+            for mask in masks:
+                ks = [k for k in range(mask.bit_length()) if mask >> k & 1]
+                for v in range(1 << n):
+                    x = BitVector(n, v)
+                    expect = 0
+                    for k in ks:
+                        expect ^= eval_gamma(k, x).bits
+                    assert pointwise_value(mask, n, v) == expect, (n, mask, v)
+
+    def test_evaluator_calls_nothing_of_the_package(self):
+        assert not inspect.getclosurevars(pointwise_value).globals
+
+    @pytest.mark.parametrize("n", [16385, 16388])
+    def test_round_trips_past_the_toom_threshold(self, n):
+        # ceil(n/2) >= 2t + 1: ring_mul's product mod X^ceil(n/2) and the last step of the low
+        # lift, on ceil(ceil(n/2)/2) bits, both take Toom-3.  Dense random points are cheap, as
+        # their keep dies within a few positions.  The third point keeps it alive: on odd n one
+        # of weight one, whose image reads out the whole mask; on even n one on the even
+        # positions, where the map is linear in every coefficient
+        assert (n + 1) // 2 >= 2 * poly2._TOOM_MIN_BITS + 1
+        rng = random.Random(n)
+        degree = Modulus(n).degree
+
+        def unit(draw):
+            while not is_permutation(f := GammaCombination(draw() | 1, n))[0]:
+                pass
+            return f
+
+        operands = [kappa(n), chi(n), unit(lambda: sum(1 << k for k in rng.sample(range(degree), 5))),
+                    unit(lambda: rng.getrandbits(degree))]
+        points = [rng.getrandbits(n), rng.getrandbits(n),
+                  1 << rng.randrange(n) if n % 2 else sum(rng.getrandbits(1) << i for i in range(0, n, 2))]
+        for i, f in enumerate(operands):
+            h = operands[(i + 1) % len(operands)]
+            fh = compose(f, h)
+            g = inverse(f) if is_permutation(f)[0] else None  # chi is no permutation on even n
+            for x in points:
+                hx = pointwise_value(h.mask, n, x)
+                assert pointwise_value(fh.mask, n, x) == pointwise_value(f.mask, n, hx), (n, i)
+                if g is not None:
+                    assert pointwise_value(g.mask, n, pointwise_value(f.mask, n, x)) == x, (n, i)
+                    assert pointwise_value(f.mask, n, pointwise_value(g.mask, n, x)) == x, (n, i)
 
 
 class TestLinearStructure:

@@ -124,14 +124,6 @@ class TestArithmetic:
             assert poly2._clmul(0, rng.getrandbits(length)) == 0
             assert poly2._clmul(rng.getrandbits(length), 0) == 0
 
-    def test_mullo_by_shift_and_add(self):
-        # below t the truncated product; from t on Mulders' split, 7t splits twice
-        rng = random.Random(9)
-        t = poly2._TOOM_MIN_BITS
-        for k in (1, t - 1, t, t + 1, 2 * t + 1, 7 * t):
-            a, b = rng.getrandbits(k + 1 + rng.randrange(64)), rng.getrandbits(k + 1 + rng.randrange(64))
-            assert poly2._mullo(a, b, k) == shift_and_add(a, b) & ((1 << k) - 1), k
-
     def test_powmod_bits_by_shift_and_add(self):
         # X takes the shift path, X + 1 and the rest the product; m ^ 2 reduces to X, m to 0
         rng = random.Random(26)

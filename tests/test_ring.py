@@ -241,8 +241,8 @@ class TestFoldedArithmetic:
 
     def test_mul_matches_shift_and_add(self):
         # on even n the product is joined from its residues mod X^h and X^h + 1; h = t and
-        # h = 3t + 1 take the short product mod X^h at and past the Toom threshold t, and the
-        # folded product mod X^h + 1 cut into thirds
+        # h = 3t + 1 take the product mod X^h, cut to h bits, at and past the Toom threshold t,
+        # and the folded product mod X^h + 1, both cut into thirds
         rng = random.Random(23)
         t = poly2._TOOM_MIN_BITS
         for n in FOLD_DIMENSIONS + [2 * t - 1, 2 * t, 6 * t + 1, 6 * t + 2, 60000, 60001]:

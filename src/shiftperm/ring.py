@@ -22,15 +22,17 @@ is found from its residues lo mod X^h and hi mod X^h + 1, two products
 of h-bit operands, the first cut to h bits and the second folded; the
 Chinese remainder theorem joins them as lo + X^h (lo + hi).  On odd n
 the product is lo alone.  A unit is a representative with constant term
-1 that, on even n, is coprime to X^m + 1.  Its inverse is lifted by
-Newton's iteration u <- f u^2, which squares the modulus the congruence
-f u = 1 holds for: to mod X^h (X^((n+1)/2) on odd n) from mod X^ceil(h/2),
-..., X, and, on even n, from the inverse mod X^m + 1, which the extended
-Euclidean algorithm finds on m-bit operands, to mod X^h + 1; the two
-halves are joined the same way.  Squaring is additive over GF(2), so
-with f = e(X^2) + X o(X^2) a step is f u^2 = (e u)^2 + X (o u)^2: e u
-and o u are needed only mod X^ceil(k/2) on the way to X^k, or X^w + 1
-on the way to X^(2w) + 1, two products of half size for one of full size.
+1 that, on even n, is coprime to X^m + 1.  Its inverse comes from one
+recursion over dimensions.  Newton's step u <- f u^2 squares the modulus
+f u = 1 holds for, so the inverse for n is one step from the one for
+n' = n/2 when 4 | n, as (X^(n/4) (X^(n/4) + 1))^2 is the modulus for n,
+or on odd n for the odd n' = 2 ceil((n+1)/4) - 1, whose X^ceil(k/2)
+squares past X^k, k = (n+1)/2; it is 1 at n = 1.  At n = 2m, m odd, the
+inverse for 2m - 1, mod X^m, is joined as above to the one mod X^m + 1
+that the extended Euclidean algorithm finds on m-bit operands.  Squaring
+is additive over GF(2), so with f = e(X^2) + X o(X^2) a step is
+f u^2 = (e u)^2 + X (o u)^2, and e u and o u are needed only in the ring
+for n': two products of half size for one of full size.
 
 unit_witness owns that unit criterion.  A failed inversion raises
 NonUnitError with X, or on even n the unit_witness gcd(f, X^m + 1) that
@@ -118,17 +120,20 @@ def _crt(lo: int, hi: int, h: int) -> int:
     return lo ^ ((lo ^ hi) << h)
 
 
-def ring_mul(a: BinPoly, b: BinPoly, mod: Modulus) -> BinPoly:
-    """Canonical product of cosets: mod X^((n+1)/2) on odd n; on even n from
-    its residues mod X^h and mod X^h + 1, two products of h-bit operands."""
-    n, f, g = mod.n, a.bits, b.bits
-    h = (n + 1) // 2
+def _mul_bits(f: int, g: int, mod: Modulus) -> int:
+    """Canonical product of cosets, on bit masks: mod X^((n+1)/2) on odd n; on even
+    n from its residues mod X^h and mod X^h + 1, two products of h-bit operands."""
+    h = (mod.n + 1) // 2
     low = (1 << h) - 1
     lo = _clmul(f & low, g & low) & low
-    if n % 2:
-        return BinPoly(lo)
-    hi = _fold(_clmul(_fold(f, h), _fold(g, h)), h)
-    return BinPoly(_crt(lo, hi, h))
+    if mod.n % 2:
+        return lo
+    return _crt(lo, _fold(_clmul(_fold(f, h), _fold(g, h)), h), h)
+
+
+def ring_mul(a: BinPoly, b: BinPoly, mod: Modulus) -> BinPoly:
+    """Canonical product of cosets."""
+    return BinPoly(_mul_bits(a.bits, b.bits, mod))
 
 
 def unit_witness(f: BinPoly, mod: Modulus) -> BinPoly:
@@ -146,39 +151,30 @@ def is_unit(a: BinPoly, mod: Modulus) -> bool:
     return a.constant_term == 1 and unit_witness(a, mod) == ONE
 
 
-def _split_step(f: int, u: int, cut) -> int:
-    """The Newton step f u^2 as (e u)^2 + X (o u)^2, f = e(X^2) + X o(X^2): two
-    products of half the size of f; cut reduces e u and o u before they are squared."""
-    e, o = _deinterleave(f)
-    return _square(cut(_clmul(e, u))) ^ _square(cut(_clmul(o, u))) << 1
-
-
-def _inverse_mod_x_power(f: int, k: int) -> int:
-    """Inverse mod X^k of f with constant term 1, by one split step from the inverse mod X^c,
-    c = ceil(k/2): e u is needed mod X^c, o u mod X^(k - c); both are cut to c bits, the step to k."""
-    if k == 1:
-        return 1
-    c = (k + 1) // 2
-    return _split_step(f & ((1 << k) - 1), _inverse_mod_x_power(f, c), lambda p: p & ((1 << c) - 1)) & ((1 << k) - 1)
-
-
 def ring_inverse(a: BinPoly, mod: Modulus) -> BinPoly:
-    """Multiplicative inverse of a unit, lifted from its inverses modulo the
-    coprime parts of the modulus (see the module docstring)."""
-    f = reduce_bits(a.bits, mod)
+    """Multiplicative inverse of a unit, by one Newton recursion over dimensions
+    (see the module docstring).  f is reduced and de-interleaved once, here: each
+    smaller n's modulus divides mod's, so on every coefficient a step keeps, the
+    halves of f agree with those of f reduced for n."""
+    f, m = reduce_bits(a.bits, mod), mod.odd_part
     if not f & 1:
         raise _non_unit(f, mod, X)
-    if mod.n % 2:
-        return BinPoly(_inverse_mod_x_power(f, mod.degree))
-    h, m = mod.n // 2, mod.odd_part
-    g, u = poly2.ext_gcd(BinPoly(_fold(f, m)), x_power(m) + ONE)
-    if g != ONE:
-        raise _non_unit(f, mod, g)
-    hi, w = u.bits, m
-    while w < h:  # (p mod X^w + 1)^2 = p^2 mod X^(2w) + 1: the halves fold mod X^w + 1
-        hi = _split_step(_fold(f, 2 * w), hi, lambda p: _fold(p, w))
-        w *= 2
-    return BinPoly(_crt(_inverse_mod_x_power(f, h), hi, h))
+    if mod.n % 2 == 0:  # a non-unit fails here, before any step
+        g, hi = poly2.ext_gcd(BinPoly(_fold(f, m)), x_power(m) + ONE)
+        if g != ONE:
+            raise _non_unit(f, mod, g)
+    e, o = _deinterleave(f)
+
+    def lift(n: int) -> int:
+        if n == 1:
+            return 1
+        if n == 2 * m:  # the inverse for 2m - 1, mod X^m, joined to Euclid's mod X^m + 1
+            return _crt(lift(n - 1), hi.bits, m)
+        sub = Modulus(n // 2 if n % 2 == 0 else n // 2 | 1)
+        u = lift(sub.n)
+        return reduce_bits(_square(_mul_bits(e, u, sub)) ^ _square(_mul_bits(o, u, sub)) << 1, Modulus(n))
+
+    return BinPoly(lift(mod.n))
 
 
 def _non_unit(f: int, mod: Modulus, g: BinPoly) -> NonUnitError:

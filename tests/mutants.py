@@ -46,6 +46,8 @@ RING_MUL = "tests/test_ring.py::TestFoldedArithmetic::test_mul_matches_shift_and
 SPLIT_PAIRS = "tests/test_poly2.py::TestFactor::test_splitter_separates_every_pair_of_one_degree"
 CYCLOTOMIC = "tests/test_poly2.py::TestFactor::test_cyclotomic_blocks"
 SPELLINGS = "tests/test_cli.py::test_poly_and_f_spellings_agree"
+IRREDUCIBLE = "tests/test_poly2.py::TestIrreducibility::test_examples"
+ROUND_TRIPS = "tests/test_gammaspan.py::TestPointwiseMaps::test_round_trips_past_the_toom_threshold"
 LUCAS = tuple(f"tests/test_poly2.py::TestIntegers::{name}" for name in (
     "test_strong_lucas_pseudoprimes_below_2_16", "test_is_prime_matches_sieve", "test_baillie_psw_rejects_pseudoprimes"))
 
@@ -106,16 +108,15 @@ MUTANTS = [
            '    if k < 0:\n        raise ValueError("exponent must be nonnegative")\n', equivalent=True),
     _guard("irreducible_polys(degree < 1) (is_irreducible(1) raises)", "poly2.py",
            '    if degree < 1:\n        raise ValueError("degree must be positive")\n', equivalent=True),
-    # the inverse on half-size products
+    # the inverse: one Newton recursion over dimensions on half-size products
     ("split step without << 1", "ring.py",
-     "_square(cut(_clmul(o, u))) << 1", "_square(cut(_clmul(o, u)))", (INVERSE_MOD_X, INVERSE), False),
-    ("low lift recurses at floor(k/2)", "ring.py",
-     "    c = (k + 1) // 2\n", "    c = k // 2\n", (INVERSE_MOD_X,), False),
-    ("high lift not folded", "ring.py",
-     "lambda p: _fold(p, w)", "lambda p: p", (INVERSE, TWO_ADIC), False),
-    ("low lift cut dropped (bits from c on square to X^(2c), 2c >= k, and the step is cut to k)", "ring.py",
-     "lambda p: p & ((1 << c) - 1)", "lambda p: p", (INVERSE_MOD_X, INVERSE), True),
-    ("ring_mul lo without its final & low", "ring.py",
+     "_square(_mul_bits(o, u, sub)) << 1", "_square(_mul_bits(o, u, sub))", (INVERSE_MOD_X, INVERSE), False),
+    ("odd n' one dimension too small (X^floor(k/2))", "ring.py",
+     "n // 2 if n % 2 == 0 else n // 2 | 1", "n // 2 if n % 2 == 0 else n // 2 - 1 | 1", (INVERSE_MOD_X,), False),
+    ("the step's reduction for n dropped", "ring.py",
+     "reduce_bits(_square(_mul_bits(e, u, sub)) ^ _square(_mul_bits(o, u, sub)) << 1, Modulus(n))",
+     "_square(_mul_bits(e, u, sub)) ^ _square(_mul_bits(o, u, sub)) << 1", (INVERSE, TWO_ADIC), False),
+    ("product's lo without its final & low", "ring.py",
      "lo = _clmul(f & low, g & low) & low", "lo = _clmul(f & low, g & low)", (RING_MUL,), False),
     ("ext_gcd cofactor without the shift", "poly2.py", "s0 ^= s1 << shift", "s0 ^= s1", (GCD,), False),
     ("square nibble tables swapped", "poly2.py",
@@ -150,6 +151,14 @@ MUTANTS = [
      "_split_equal_degree(g, d, i + 2) + _split_equal_degree(_divmod_bits(b, g)[0], d, i + 2)",
      "_split_equal_degree(g, d) + _split_equal_degree(_divmod_bits(b, g)[0], d)",
      (SPLIT_PAIRS, CYCLOTOMIC), True),
+    # psi's canonical form, past the value tables
+    ("psi cuts k >= n/2 on even n above n = 20", "gammaspan.py",
+     "return GammaCombination(a.bits, mod.n)",
+     "return GammaCombination(a.bits if mod.n <= 20 else a.bits & (1 << (mod.n + 1) // 2) - 1, mod.n)",
+     (ROUND_TRIPS,), False),
+    # Ben-Or's distinct-degree loop
+    ("Ben-Or loop stops one degree early", "poly2.py",
+     "while 2 * d < wb.bit_length():", "while 2 * d < wb.bit_length() - 1:", (IRREDUCIBLE,), False),
     # the CLI
     ("--poly without dest=\"f\"", "cli.py", 'grp.add_argument("--poly", dest="f", metavar="POLY",',
      'grp.add_argument("--poly", metavar="POLY",', (SPELLINGS,), False),

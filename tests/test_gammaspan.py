@@ -307,14 +307,16 @@ class TestPointwiseMaps:
     def test_evaluator_calls_nothing_of_the_package(self):
         assert not inspect.getclosurevars(pointwise_value).globals
 
-    @pytest.mark.parametrize("n", [16385, 16388])
+    @pytest.mark.parametrize("n", [125 << s for s in range(6)] + [16385, 16388])
     def test_round_trips_past_the_toom_threshold(self, n):
-        # ceil(n/2) >= 2t + 1: ring_mul's product mod X^ceil(n/2) and the last step of the low
-        # lift, on ceil(ceil(n/2)/2) bits, both take Toom-3.  Dense random points are cheap, as
-        # their keep dies within a few positions.  The third point keeps it alive: on odd n one
-        # of weight one, whose image reads out the whole mask; on even n one on the even
+        # n = 125 * 2^s, s = 0..5, takes ring_inverse through each branch of its recursion: the
+        # odd dimensions, the join at n = 2m and the halving at 4 | n.  At 16385 and 16388,
+        # ceil(n/2) >= 2t + 1: ring_mul's product mod X^ceil(n/2) and the last Newton step's
+        # products, on ceil(ceil(n/2)/2) bits, both take Toom-3.  Dense random points are cheap,
+        # as their keep dies within a few positions.  The third point keeps it alive: on odd n
+        # one of weight one, whose image reads out the whole mask; on even n one on the even
         # positions, where the map is linear in every coefficient
-        assert (n + 1) // 2 >= 2 * poly2._TOOM_MIN_BITS + 1
+        assert n <= 4000 or (n + 1) // 2 >= 2 * poly2._TOOM_MIN_BITS + 1
         rng = random.Random(n)
         degree = Modulus(n).degree
 

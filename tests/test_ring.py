@@ -8,7 +8,6 @@ from shiftperm.poly2 import BinPoly, ONE, ZERO, X, factor, x_power
 from shiftperm.gammaspan import GammaCombination
 from shiftperm.ring import (
     DIMENSION_CAP,
-    _inverse_mod_x_power,
     Modulus,
     NonUnitError,
     is_unit,
@@ -213,11 +212,12 @@ class TestFoldedArithmetic:
                         assert not is_unit(f, mod)
 
     def test_inverse_mod_x_power_by_shift_and_add(self):
-        # the lift runs top-down over k, ceil(k/2), ceil(k/4), ..., 1; odd k need the ceiling
+        # the odd dimension 2k - 1 has the modulus X^k, and its recursion runs top-down over
+        # k, ceil(k/2), ceil(k/4), ..., 1; odd k need the ceiling
         rng = random.Random(24)
         for k in list(range(1, 301)) + [2**15 - 1, 2**15, 2**15 + 1, 30001]:
             f = rng.getrandbits(k + rng.randrange(3)) | 1
-            u = _inverse_mod_x_power(f, k)
+            u = ring_inverse(BinPoly(f), Modulus(2 * k - 1)).bits
             low = (1 << k) - 1
             assert u.bit_length() <= k and shift_and_add(f & low, u) & low == 1, k
 

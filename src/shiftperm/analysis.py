@@ -35,25 +35,6 @@ from .tables import BIJECTIVITY_LIMIT, DU_CEILING, DU_LIMIT
 
 XI_DIVISOR_CAP = 1 << 20  # divisors xi_upper_bound lists, summed over the 2^d - 1: 2^180 - 1 alone has 6291456
 
-__all__ = [
-    "AnalysisReport",
-    "analyze",
-    "is_permutation",
-    "is_permutation_bruteforce",
-    "inverse",
-    "xi",
-    "xi_upper_bound",
-    "xi_sets",
-    "inv_membership",
-    "realize_xi",
-    "algebraic_degree",
-    "differential_uniformity",
-    "perturb",
-    "kappa_cofactor",
-    "kappa_inverse_closed_form",
-    "kappa_flip_predicate",
-]
-
 
 def _bind(f: GammaCombination, n) -> GammaCombination:
     if n is None:

@@ -50,6 +50,15 @@ IRREDUCIBLE = "tests/test_poly2.py::TestIrreducibility::test_examples"
 ROUND_TRIPS = "tests/test_gammaspan.py::TestPointwiseMaps::test_round_trips_past_the_toom_threshold"
 LUCAS = tuple(f"tests/test_poly2.py::TestIntegers::{name}" for name in (
     "test_strong_lucas_pseudoprimes_below_2_16", "test_is_prime_matches_sieve", "test_baillie_psw_rejects_pseudoprimes"))
+UNITS = "tests/test_ring.py::TestUnitGroupOrder"
+ANY_REPRESENTATIVE = "tests/test_ring.py::TestReduceAndMul::test_any_representative_gives_the_canonical_result"
+PSEUDOPRIMES = "tests/test_poly2.py::TestIntegers::test_baillie_psw_rejects_pseudoprimes"
+RHO = "tests/test_poly2.py::TestIntegers::test_rho_splits_large_composites"
+MERSENNE = "tests/test_poly2.py::TestIntegers::test_mersenne_factorizations"
+SMALLEST = "tests/test_poly2.py::TestFindIrreducibleOfOrder::test_smallest_of_each_order_up_to_degree_12"
+CONSTRUCTED = "tests/test_poly2.py::TestFindIrreducibleOfOrder::test_constructed_degrees_13_to_20"
+ABOVE_THE_BOUND = "tests/test_poly2.py::TestFindIrreducibleOfOrder::test_degree_above_the_bound"
+XI_300 = "tests/test_cli.py::TestXiVerb::test_degree_300"
 
 
 def _guard(name, file, old, new="", equivalent=False):
@@ -165,6 +174,47 @@ MUTANTS = [
     # Baillie-PSW
     ("Lucas halving by (n - 1)/2 = -1/2 (flips the signs of U and V together)", "poly2.py",
      "(1 - D) // 4 % n, (n + 1) // 2", "(1 - D) // 4 % n, (n - 1) // 2", LUCAS, True),
+    ("Lucas's D walk without the sign change (5, 7, 9, ...)", "poly2.py",
+     "D = -D - 2 if D > 0 else 2 - D", "D += 2", LUCAS, False),
+    ("Miller-Rabin switched off", "poly2.py",
+     "if x != 1 and n - 1 not in [pow(x, 1 << r, n) for r in range(s)]:", "if False:", (PSEUDOPRIMES,), False),
+    # factor_int
+    ("rho's split pushed as [f, f]", "poly2.py", "stack += [f, m // f]", "stack += [f, f]", (RHO,), False),
+    ("Phi_e(2) divided by every Phi_f(2) so far, f | e or not", "poly2.py",
+     "prod(v for f, v in phis.items() if e % f == 0)", "prod(phis.values())", (MERSENNE,), False),
+    # the unit count
+    ("2^(h-m) dropped", "ring.py", "total = 1 << (h - 1) + (h - m)", "total = 1 << (h - 1)", (UNITS,), False),
+    ("2^(h-1) dropped", "ring.py", "total = 1 << (h - 1) + (h - m)", "total = 1 << (h - m)", (UNITS,), False),
+    ("odd n one unit bit too many", "ring.py", "return 1 << (n - 1) // 2", "return 1 << (n + 1) // 2", (UNITS,), False),
+    ("cosets of 3 in place of 2", "ring.py", "j = 2 * j % m", "j = 3 * j % m", (UNITS,), False),
+    ("coset {0} counted as size 2", "ring.py", "j, size = start, 0", "j, size = start, 0 if start else 1",
+     (UNITS,), False),
+    ("coset {0} multiplied in twice (its factor is 2^1 - 1 = 1)", "ring.py",
+     "total = 1 << (h - 1) + (h - m)", "total = (1 << (h - 1) + (h - m)) * ((1 << 1) - 1)", (UNITS,), True),
+    # reduction on entry and in the product
+    ("ring_inverse without its entry reduction", "ring.py",
+     "f, m = reduce_bits(a.bits, mod), mod.odd_part", "f, m = a.bits, mod.odd_part", (ANY_REPRESENTATIVE,), False),
+    ("hi without its outer fold", "ring.py",
+     "_fold(_clmul(_fold(f, h), _fold(g, h)), h)", "_clmul(_fold(f, h), _fold(g, h))", (RING_MUL,), False),
+    ("hi's operand f unfolded (the outer fold is exact)", "ring.py",
+     "_clmul(_fold(f, h), _fold(g, h))", "_clmul(f, _fold(g, h))", (RING_MUL, ANY_REPRESENTATIVE, INVERSE), True),
+    ("lo's operand f unmasked (the final & low is exact)", "ring.py",
+     "lo = _clmul(f & low, g & low) & low", "lo = _clmul(f, g & low) & low", (RING_MUL, ANY_REPRESENTATIVE, INVERSE),
+     True),
+    # find_irreducible_of_order
+    ("the last match taken", "poly2.py",
+     "return next(g for g in irreducible_polys(d) if _order_mod(2, n, primes, g.bits) == t)",
+     "return [g for g in irreducible_polys(d) if _order_mod(2, n, primes, g.bits) == t][-1]", (SMALLEST,), False),
+    ("the enumeration's order test dropped", "poly2.py",
+     "next(g for g in irreducible_polys(d) if _order_mod(2, n, primes, g.bits) == t)", "irreducible_polys(d)[0]",
+     (SMALLEST,), False),
+    ("the alpha order test dropped", "poly2.py",
+     "alpha = next(a for a in powers if _order_mod(a, t, primes, p) == t)", "alpha = next(powers)",
+     (CONSTRUCTED,), False),
+    ("no degree ceiling", "poly2.py",
+     "for d in range(1, REALIZE_DEGREE_LIMIT + 1) if", "for d in itertools.count(1) if", (ABOVE_THE_BOUND,), False),
+    # the distinct-degree loop
+    ("h never reduced", "poly2.py", "h = _mod_bits(_square(h), wb)", "h = _square(h)", (XI_300,), False),
 ]
 
 

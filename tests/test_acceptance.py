@@ -29,6 +29,7 @@ from checks import (
     check_shift_invariance,
     check_xi_membership,
 )
+from oracles import monoid_masks, span_masks
 
 TAU = GammaCombination.from_indices([0, 1, 3])
 TABLE1 = {8: "1101011", 10: "110111011", 14: "1101101011011", 16: "110110111011011"}
@@ -43,16 +44,6 @@ def criterion(number, label):
         print(f"ACCEPTANCE {number:>2} {label}: FAIL ({time.perf_counter() - start:.2f}s)")
         raise
     print(f"ACCEPTANCE {number:>2} {label}: PASS ({time.perf_counter() - start:.2f}s)")
-
-
-def monoid_masks(n):
-    dim = n if n % 2 == 0 else (n + 1) // 2
-    return range(1, 1 << dim, 2)
-
-
-def span_masks(n):
-    dim = n if n % 2 == 0 else (n + 1) // 2
-    return range(1 << dim)
 
 
 def test_criterion_1_table1_reproduction():

@@ -24,18 +24,7 @@ from shiftperm.poly2 import BinPoly
 from shiftperm.ring import Modulus, reduce, ring_mul
 from shiftperm.tables import BoundExceededError
 
-from checks import pointwise_value
-
-
-def monoid_masks(n):
-    """All coefficient masks of combinations containing gamma(0) on F_2^n."""
-    dim = n if n % 2 == 0 else (n + 1) // 2
-    return range(1, 1 << dim, 2)
-
-
-def span_masks(n):
-    dim = n if n % 2 == 0 else (n + 1) // 2
-    return range(1 << dim)
+from oracles import monoid_masks, pointwise_value, span_masks
 
 
 def per_bit_canonical_mask(mask, n):
@@ -288,7 +277,7 @@ class TestCompose:
 
 class TestPointwiseMaps:
     """The map-level claims (composition is the ring product, the inverse map the ring
-    inverse) checked past the table limits by checks.pointwise_value."""
+    inverse) checked past the table limits by oracles.pointwise_value."""
 
     def test_evaluator_matches_eval_gamma(self):
         # every term k <= 2n (wrapping and vanishing included) and random sums, every input

@@ -492,16 +492,18 @@ def is_prime(n: int) -> bool:
     return isqrt(n) ** 2 != n and _strong_lucas(n)
 
 
-def _rho(n: int, name: str) -> int:
-    """A proper factor of the odd composite n: Brent's variant of Pollard
-    rho, with gcds batched over 128 steps, y_0 = 2 and c = 1, 2, ....
-    A round that would take the steps past RHO_BUDGET raises BoundExceededError."""
+def _rho(n: int, top: int) -> int:
+    """A proper factor of the odd composite n, a divisor of factor_int's top:
+    Brent's variant of Pollard rho, gcds batched over 128 steps, y_0 = 2, c = 1, 2, ....
+    Past RHO_BUDGET steps it raises BoundExceededError naming top, by its bits past 4300 digits."""
     steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r
             if steps > RHO_BUDGET:
+                d = top.bit_length()  # str() refuses past 4300 digits
+                name = f"2^{d} - 1" if top & (top + 1) == 0 else top if top < 10**4300 else f"a {d}-bit integer"
                 raise BoundExceededError(f"factoring {name} needs more than {RHO_BUDGET} rho steps")
             x = y
             for _ in range(r):
@@ -527,12 +529,12 @@ def factor_int(n: int) -> dict:
     """Prime factorization {p: multiplicity} of a positive integer, p ascending."""
     if n < 1:
         raise ValueError("only positive integers are factored")
-    stack, name = [n], str(n)
+    stack = [n]
     if n & (n + 1) == 0:  # 2^d - 1: split into Phi_e(2), e | d, by exact division
         d, phis = n.bit_length(), {}
         for e in (e for e in range(1, d + 1) if d % e == 0):
             phis[e] = ((1 << e) - 1) // prod(v for f, v in phis.items() if e % f == 0)
-        stack, name = list(phis.values()), f"2^{d} - 1"
+        stack = list(phis.values())
     counts: dict = {}
     while stack:
         m = stack.pop()
@@ -545,7 +547,7 @@ def factor_int(n: int) -> dict:
         if m > 1 and is_prime(m):
             counts[m] = counts.get(m, 0) + 1
         elif m > 1:
-            f = _rho(m, name)
+            f = _rho(m, n)
             stack += [f, m // f]
     return dict(sorted(counts.items()))
 

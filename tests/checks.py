@@ -1,12 +1,14 @@
 """Exhaustive invariant checks shared by the module tests and the acceptance run,
-call counters and bounded child-process runners.  The reference implementations
-the checks and tests compare against are in oracles.py, which imports nothing
-from shiftperm.
+call counters, the one runner of a command line (run_main) and the bounded
+child-process runners.  The reference implementations the checks and tests
+compare against are in oracles.py, which imports nothing from shiftperm.
 
 Each check raises AssertionError on the first violation and returns
 the number of cases it verified, so callers can sanity-check coverage.
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -15,6 +17,7 @@ import resource
 import select
 import subprocess
 import sys
+import time
 
 from shiftperm.bitstate import BitVector, eval_gamma
 from shiftperm.gammaspan import GammaCombination, evaluate, kappa
@@ -25,6 +28,7 @@ from shiftperm.analysis import (
     kappa_cofactor,
     kappa_flip_predicate,
 )
+from shiftperm.cli import main
 from shiftperm.poly2 import BinPoly, ONE, x_power
 
 from oracles import _bool_power, _bool_product, monoid_masks, pair_graph
@@ -128,7 +132,9 @@ def check_pair_graph(max_n: int = 130, large=()) -> int:
     return cases
 
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))  # the package and these helpers
 CHILD_MEMORY = 400 << 20  # bytes of address space: the interpreter and numpy fit, a 10^10-bit int does not
 
 
@@ -137,28 +143,34 @@ def _limit_memory():
 
 
 def run_bounded(code: str, *args: str, timeout: float, input: str | None = None) -> subprocess.CompletedProcess:
-    """Run python -c code with the package importable, under CHILD_MEMORY
-    (set in the child only) and a timeout, so that a regression that hangs
-    or allocates without bound fails at once instead of stalling the suite."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    """Run python -c code under CHILD_ENV, under CHILD_MEMORY (set in the
+    child only) and a timeout, so that a regression that hangs or allocates
+    without bound fails at once instead of stalling the suite."""
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, input=input, capture_output=True, text=True,
+        [sys.executable, "-c", code, *args], env=CHILD_ENV, input=input, capture_output=True, text=True,
         timeout=timeout, preexec_fn=_limit_memory,
     )
 
 
-_CLI_SERVER = """
-import contextlib, io, json, sys, time
-from shiftperm.cli import main
-for line in sys.stdin:
+def run_main(argv) -> tuple:
+    """(exit code, stdout, stderr, seconds) of cli.main(argv), run in this
+    process under redirected streams; argparse's SystemExit gives its code."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(json.loads(line))
+            code = main(argv)
         except SystemExit as e:
             code = e.code
-    print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]), flush=True)
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+# the bounded CLI child: one JSON argv per line in, one JSON run_main answer per line out
+_CLI_SERVER = """
+import json, sys
+from checks import run_main
+for line in sys.stdin:
+    print(json.dumps(run_main(json.loads(line))), flush=True)
 """
 
 
@@ -173,18 +185,17 @@ def count_calls(monkeypatch, module, *names) -> dict:
 
 def run_cli_bounded(*argvs, timeout: float = 60) -> list:
     """(exit code, stdout, stderr, seconds) of each command line, run in turn
-    through cli.main in one bounded child; an uncaught exception fails here."""
+    through run_main in one bounded child; an uncaught exception fails here."""
     proc = run_bounded(_CLI_SERVER, timeout=timeout, input="".join(json.dumps(a) + "\n" for a in argvs))
     assert proc.returncode == 0, proc.stderr
     return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
 
 
 class BoundedCli:
-    """One long-lived bounded child that runs command lines through cli.main
-    as they come: one JSON argv per line in, one JSON (exit code, stdout,
-    stderr, seconds) per line out.  A child that dies, from an uncaught
-    exception or exhausted memory, or gives no answer within timeout seconds
-    fails the call, and the next call starts a new one."""
+    """One long-lived bounded child that runs command lines through run_main
+    as they come.  A child that dies, from an uncaught exception or exhausted
+    memory, or gives no answer within timeout seconds fails the call, and the
+    next call starts a new one."""
 
     def __init__(self, timeout: float):
         self.timeout, self.proc = timeout, None
@@ -192,7 +203,7 @@ class BoundedCli:
     def run(self, argv) -> tuple:
         if self.proc is None:
             self.proc = subprocess.Popen(
-                [sys.executable, "-c", _CLI_SERVER], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                [sys.executable, "-c", _CLI_SERVER], env=CHILD_ENV,
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                 preexec_fn=_limit_memory,
             )

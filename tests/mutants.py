@@ -55,6 +55,8 @@ ANY_REPRESENTATIVE = "tests/test_ring.py::TestReduceAndMul::test_any_representat
 PSEUDOPRIMES = "tests/test_poly2.py::TestIntegers::test_baillie_psw_rejects_pseudoprimes"
 RHO = "tests/test_poly2.py::TestIntegers::test_rho_splits_large_composites"
 MERSENNE = "tests/test_poly2.py::TestIntegers::test_mersenne_factorizations"
+PAST_DIGITS = "tests/test_poly2.py::TestIntegers::test_factors_past_the_digit_limit"
+REFUSED_PAST_DIGITS = "tests/test_poly2.py::TestIntegers::test_rho_refuses_past_the_digit_limit"
 SMALLEST = "tests/test_poly2.py::TestFindIrreducibleOfOrder::test_smallest_of_each_order_up_to_degree_12"
 CONSTRUCTED = "tests/test_poly2.py::TestFindIrreducibleOfOrder::test_constructed_degrees_13_to_20"
 ABOVE_THE_BOUND = "tests/test_poly2.py::TestFindIrreducibleOfOrder::test_degree_above_the_bound"
@@ -182,6 +184,10 @@ MUTANTS = [
     ("rho's split pushed as [f, f]", "poly2.py", "stack += [f, m // f]", "stack += [f, f]", (RHO,), False),
     ("Phi_e(2) divided by every Phi_f(2) so far, f | e or not", "poly2.py",
      "prod(v for f, v in phis.items() if e % f == 0)", "prod(phis.values())", (MERSENNE,), False),
+    ("the operand named up front, before any work", "poly2.py",
+     "    stack = [n]\n", "    stack, name = [n], str(n)\n", (PAST_DIGITS,), False),
+    ("the refusal names any operand in digits", "poly2.py",
+     "top if top < 10**4300 else", "top if True else", (REFUSED_PAST_DIGITS,), False),
     # the unit count
     ("2^(h-m) dropped", "ring.py", "total = 1 << (h - 1) + (h - m)", "total = 1 << (h - 1)", (UNITS,), False),
     ("2^(h-1) dropped", "ring.py", "total = 1 << (h - 1) + (h - m)", "total = 1 << (h - m)", (UNITS,), False),

@@ -4,9 +4,10 @@ code it checks.  Coefficient masks are plain ints, bit i the coefficient of X^i.
 
 The shift-and-add product and long division, and on them powers, gcd, inverse,
 trial-division factoring, Rabin's irreducibility test and the order of X by
-stepping; a pointwise evaluator of combinations on one n-bit int; the local rule
-and de Bruijn pair graph of a combination, for permutation status; and the
-ranges of canonical coefficient masks on F_2^n.
+stepping; the order of 2 modulo an odd integer by stepping; a pointwise
+evaluator of combinations on one n-bit int; the local rule and de Bruijn pair
+graph of a combination, for permutation status; and the ranges of canonical
+coefficient masks on F_2^n.
 """
 
 import numpy as np
@@ -127,6 +128,14 @@ def x_order(f: int, cap: int):
         if r == 1:
             return k
     return None
+
+
+def ord2(t: int) -> int:
+    """The multiplicative order of 2 modulo an odd t, by repeated doubling; 1 for t = 1."""
+    o, r = 1, 2 % t
+    while r != 1 % t:
+        o, r = o + 1, 2 * r % t
+    return o
 
 
 def rabin_irreducible(f: int) -> bool:

@@ -1,8 +1,4 @@
-import contextlib
-import io
 import json
-import os
-import pathlib
 import subprocess
 import sys
 import time
@@ -14,10 +10,9 @@ from shiftperm import poly2
 from shiftperm.cli import main
 from shiftperm.poly2 import BinPoly
 
-from checks import BoundedCli, count_calls, run_cli_bounded
+from checks import CHILD_ENV, BoundedCli, count_calls, run_bounded, run_cli_bounded, run_main
 
 P = BinPoly.parse
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 XI_300 = [5146971002709138, 55384499824371494704325294178347690, 2722258935367507707706996859454145691646]
 VERBS = ["analyze", "invert", "compose", "xi", "enumerate", "du", "table1", "realize"]
 
@@ -371,19 +366,15 @@ class TestParsing:
 
 
 def test_import_leaves_sympy_out():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    subprocess.run(
-        [sys.executable, "-c", "import shiftperm, sys; assert 'sympy' not in sys.modules"],
-        env=env, check=True,
-    )
+    proc = run_bounded("import shiftperm, sys; assert 'sympy' not in sys.modules", timeout=30)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_stdout_leaves_no_traceback():
     # enumerate --n 16 writes about 500 KB, far more than a pipe buffer holds
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
         [sys.executable, "-m", "shiftperm.cli", "enumerate", "--n", "16"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=CHILD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
@@ -464,22 +455,11 @@ def spelling_cli():
 
 
 def _main(child, *argvs) -> list:
-    """(exit code, stdout, stderr, seconds) of each command line.  Those with a
-    huge exponent run in the bounded child, where a regression that builds a
-    10^10-bit int fails at once instead of exhausting memory."""
-    if any(HUGE_MARK in arg for argv in argvs for arg in argv):
-        return [child.run(argv) for argv in argvs]
-    runs = []
-    for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as e:  # argparse rejects the command line
-                code = e.code
-        runs.append((code, out.getvalue(), err.getvalue(), time.perf_counter() - start))
-    return runs
+    """(exit code, stdout, stderr, seconds) of each command line, by run_main.
+    Those with a huge exponent run in the bounded child, where a regression
+    that builds a 10^10-bit int fails at once instead of exhausting memory."""
+    run = child.run if any(HUGE_MARK in arg for argv in argvs for arg in argv) else run_main
+    return [run(argv) for argv in argvs]
 
 
 @settings(

@@ -2,7 +2,6 @@ import functools
 import importlib
 import itertools
 import math
-import pathlib
 import pkgutil
 import random
 from math import isqrt
@@ -32,7 +31,8 @@ from shiftperm.poly2 import (
 
 from checks import count_calls, run_bounded
 from oracles import (
-    euclid_gcd, factor_product, long_division, powmod, rabin_irreducible, shift_and_add, trial_factor, x_order,
+    euclid_gcd, factor_product, long_division, ord2, powmod, rabin_irreducible, shift_and_add, trial_factor,
+    x_order,
 )
 
 P = BinPoly.parse
@@ -42,12 +42,11 @@ nonzero_polys = st.integers(1, (1 << 65) - 1).map(BinPoly)
 
 
 def test_oracles_load_nothing_of_the_package():
-    # every comparison with an oracle rests on this: a child with the package importable
-    # imports oracles and has no shiftperm module loaded
+    # every comparison with an oracle rests on this: a child with the package and the
+    # test helpers importable imports oracles and has no shiftperm module loaded
     proc = run_bounded(
-        "import sys\nsys.path.insert(0, sys.argv[1])\nimport oracles\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'shiftperm'))",
-        str(pathlib.Path(__file__).parent), timeout=30,
+        "import sys, oracles\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'shiftperm'))",
+        timeout=30,
     )
     assert proc.stdout == "[]\n", proc.stderr
 
@@ -455,11 +454,6 @@ class TestOrder:
                 assert divides == (l % o == 0), (f, l)
 
 
-def _ord2(t: int) -> int:
-    """The multiplicative order of 2 modulo an odd t; 1 for t = 1."""
-    return next(d for d in itertools.count(1) if pow(2, d, t) == 1 % t)
-
-
 class TestFindIrreducibleOfOrder:
     def test_examples(self):
         assert find_irreducible_of_order(1) == P("11")
@@ -469,10 +463,10 @@ class TestFindIrreducibleOfOrder:
     def test_smallest_of_each_order_up_to_degree_12(self):
         # every odd t with ord_t(2) <= 12: the smallest odd polynomial of degree
         # ord_t(2) that trial division finds irreducible and in which X has order t
-        orders = [t for t in range(1, 1 << 12, 2) if _ord2(t) <= 12]
+        orders = [t for t in range(1, 1 << 12, 2) if ord2(t) <= 12]
         assert len(orders) == 40
         for t in orders:
-            d = _ord2(t)
+            d = ord2(t)
             smallest = next(
                 f for f in range((1 << d) | 1, 1 << (d + 1), 2)
                 if x_order(f, t) == t and trial_factor(f) == [(f, 1)]
@@ -480,10 +474,10 @@ class TestFindIrreducibleOfOrder:
             assert find_irreducible_of_order(t).bits == smallest, t
 
     def test_constructed_degrees_13_to_20(self):
-        pool = [t for t in range(3, 1 << 12, 2) if 12 < _ord2(t) <= 20]
+        pool = [t for t in range(3, 1 << 12, 2) if 12 < ord2(t) <= 20]
         for t in random.Random(15).sample(pool, 30):
             f = find_irreducible_of_order(t).bits
-            assert f.bit_length() - 1 == _ord2(t), t
+            assert f.bit_length() - 1 == ord2(t), t
             assert trial_factor(f) == [(f, 1)] and x_order(f, t) == t, t
 
     def test_factors_once_per_call(self, monkeypatch):
@@ -712,6 +706,17 @@ class TestIntegers:
         monkeypatch.setattr(poly2, "RHO_BUDGET", 8)
         with pytest.raises(BoundExceededError, match=f"^factoring {p * q} "):
             factor_int(p * q)
+
+    def test_factors_past_the_digit_limit(self):
+        # str() refuses past 4300 digits, and trial division alone factors this one
+        assert factor_int(10**5000) == {2: 5000, 5: 5000}
+
+    def test_rho_refuses_past_the_digit_limit(self, monkeypatch):
+        # a 5061-digit operand is named by its bits; is_prime itself would take seconds on it
+        monkeypatch.setattr(poly2, "RHO_BUDGET", 0)
+        monkeypatch.setattr(poly2, "is_prime", lambda m: False)
+        with pytest.raises(BoundExceededError, match=r"^factoring a 16812-bit integer needs more than 0 rho steps$"):
+            factor_int(257**2100)
 
 
 class TestCalculus:

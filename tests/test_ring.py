@@ -17,7 +17,7 @@ from shiftperm.ring import (
     unit_group_order,
 )
 
-from oracles import euclid_gcd, euclid_inverse, factor_product, long_division, shift_and_add
+from oracles import euclid_gcd, euclid_inverse, factor_product, long_division, ord2, shift_and_add
 
 P = BinPoly.parse
 
@@ -326,9 +326,7 @@ def _units_from_divisors(n):
         if m % e:
             continue
         totient = sum(1 for j in range(1, e + 1) if math.gcd(j, e) == 1)
-        o, r = 1, 2 % e
-        while r != 1 % e:
-            o, r = o + 1, 2 * r % e
+        o = ord2(e)
         total *= ((1 << (t - 1) * o) * ((1 << o) - 1)) ** (totient // o)
     return total
 

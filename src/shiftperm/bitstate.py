@@ -15,6 +15,8 @@ directly from the definition: exponents are reduced mod n and repeated
 factors collapse by idempotence of the componentwise product, so the
 same code covers every k on every dimension.  On odd dimensions the
 product vanishes for 2k > n, on even dimensions it becomes periodic.
+combination_values sums the terms of a combination with one running
+keep, at a packed int or at a uint64 array of packed states (a table).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class BitVector:
 
     def shift(self, j: int) -> "BitVector":
         """Cyclic left shift by j places: result_i = x_{(i+j) mod n}."""
-        return BitVector(self.n, _rot(self.bits, j % self.n, self.n))
+        return BitVector(self.n, _rot(self.bits, j, self.n))
 
     def complement(self) -> "BitVector":
         """The vector 1 + x."""
@@ -96,11 +98,28 @@ class BitVector:
         return f"BitVector.from_bits({list(self.to_bits())})"
 
 
-def _rot(bits: int, j: int, n: int) -> int:
-    if j == 0:
-        return bits
-    full = (1 << n) - 1
-    return ((bits >> j) | (bits << (n - j))) & full
+def _rot(bits, j: int, n: int):
+    """Cyclic left shift by j of a packed state or of a uint64 array of them: bit i gets bit (i+j) mod n."""
+    j %= n
+    return ((bits >> j) | (bits << (n - j))) & ((1 << n) - 1)
+
+
+def combination_values(mask: int, x, n: int):
+    """Value at the packed state x, or at each entry of a uint64 array x of them, of
+    the combination whose gamma(2k) coefficient is bit k of mask.  gamma(2k) is
+    S^{2k} times the keep prod_{j odd < 2k} (1 + S^j), which gains one factor per
+    term, so one running keep serves all terms.  The cost is linear in the positions
+    the keep survives: on an int the loop stops once it is 0 (on a table the entry
+    x = 0 keeps it full)."""
+    full, terms = (1 << n) - 1, format(mask, "b")[::-1]
+    keep, out = full, x & (full if mask & 1 else 0)  # a copy: out ^= must not write into x
+    for k in range(1, len(terms)):
+        keep &= _rot(x, 2 * k - 1, n) ^ full
+        if isinstance(keep, int) and not keep:
+            break
+        if terms[k] == "1":
+            out ^= _rot(x, 2 * k, n) & keep
+    return out
 
 
 def eval_gamma(k: int, x: BitVector) -> BitVector:
@@ -111,7 +130,7 @@ def eval_gamma(k: int, x: BitVector) -> BitVector:
         return x
     n, b = x.n, x.bits
     full = (1 << n) - 1
-    acc = _rot(b, (2 * k) % n, n)
+    acc = _rot(b, 2 * k, n)
     for j in {jj % n for jj in range(1, 2 * k, 2)}:
         acc &= _rot(b, j, n) ^ full
         if not acc:

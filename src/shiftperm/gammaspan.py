@@ -20,7 +20,7 @@ pointwise and exists purely as an independent check.
 from __future__ import annotations
 
 from . import tables
-from .bitstate import BitVector, eval_gamma
+from .bitstate import BitVector, combination_values
 from .poly2 import BinPoly
 from .ring import Modulus, reduce_bits, ring_mul
 
@@ -152,13 +152,10 @@ def kappa(n: int | None = None) -> GammaCombination:
 
 
 def evaluate(f: GammaCombination, x: BitVector) -> BitVector:
-    """Value of the combination at x (XOR of the gamma term values)."""
+    """Value at x, by one running keep over the terms of the canonical form on x.n."""
     if f.n is not None and f.n != x.n:
         raise ValueError(f"combination on n={f.n} applied to a vector of n={x.n}")
-    out = 0
-    for k in f.indices:
-        out ^= eval_gamma(k, x).bits
-    return BitVector(x.n, out)
+    return BitVector(x.n, combination_values(f.at(x.n).mask, x.bits, x.n))
 
 
 def phi(f: GammaCombination) -> BinPoly:

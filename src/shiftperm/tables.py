@@ -1,7 +1,8 @@
 """Bit-sliced exhaustive evaluation over the full input space F_2^n.
 
 A value table is a numpy uint64 array indexed by the packed input x;
-entry x holds the packed output.  Building a table costs at most two vectorized
+entry x holds the packed output.  function_table runs bitstate's
+combination_values on all 2^n inputs at once, at most two vectorized
 rotations per coefficient position, which keeps scans over all 2^n
 inputs (bijectivity, difference distribution) cheap at desk scale.
 Everything here is brute force by design and guarded by explicit size
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bitstate import _rot, combination_values
 from .poly2 import BoundExceededError
 
 BIJECTIVITY_LIMIT = 20
@@ -40,27 +42,9 @@ def domain(n: int) -> np.ndarray:
     return np.arange(1 << n, dtype=np.uint64)
 
 
-def rotate(vals: np.ndarray, j: int, n: int) -> np.ndarray:
-    """Cyclic left shift on packed states: bit i of the result is bit (i+j) mod n."""
-    j %= n
-    full = np.uint64((1 << n) - 1)
-    return ((vals >> np.uint64(j)) | (vals << np.uint64(n - j))) & full
-
-
 def function_table(mask: int, n: int) -> np.ndarray:
-    """Value table of the combination whose gamma(2k) coefficient is bit k of mask.
-
-    gamma(2k) = S^{2k} keep with keep = prod_{j odd < 2k} (1 + S^j); gamma(2k) adds the
-    factor 1 + S^{2k-1} to the keep of gamma(2k - 2), so one running keep serves all terms,
-    and gamma(0) is the identity."""
-    ids = domain(n)
-    full = np.uint64((1 << n) - 1)
-    keep, out = np.full_like(ids, full), ids.copy() if mask & 1 else np.zeros_like(ids)
-    for k in range(1, mask.bit_length()):
-        keep &= rotate(ids, 2 * k - 1, n) ^ full
-        if (mask >> k) & 1:
-            out ^= rotate(ids, 2 * k, n) & keep
-    return out
+    """Value table of the combination whose gamma(2k) coefficient is bit k of mask."""
+    return combination_values(mask, domain(n), n)
 
 
 def is_bijective(table: np.ndarray) -> bool:
@@ -74,7 +58,7 @@ def shift_class_representatives(n: int) -> np.ndarray:
     ids = domain(n)
     least = ids.copy()
     for j in range(1, n):
-        np.minimum(least, rotate(ids, j, n), out=least)
+        np.minimum(least, _rot(ids, j, n), out=least)
     return np.flatnonzero(least == ids)
 
 

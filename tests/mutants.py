@@ -33,6 +33,7 @@ from checks import _limit_memory  # noqa: E402  (the child limit, checks.CHILD_M
 TIMEOUT = 120  # seconds per mutant; the named tests take a few seconds on the unmutated code
 
 TABLES = "tests/test_gammaspan.py::TestTablesAgainstScalar"
+EVALUATE = "tests/test_gammaspan.py::TestEvaluate"
 GUARDS = "tests/test_analysis.py::test_guard_raises"
 INVERSE_MOD_X = "tests/test_ring.py::TestFoldedArithmetic::test_inverse_mod_x_power_by_shift_and_add"
 INVERSE = "tests/test_ring.py::TestFoldedArithmetic::test_inverse_matches_euclid"
@@ -69,17 +70,28 @@ def _guard(name, file, old, new="", equivalent=False):
 
 
 MUTANTS = [
-    # function_table's running product
-    ("term before the keep update", "tables.py",
-     "        keep &= rotate(ids, 2 * k - 1, n) ^ full\n"
-     "        if (mask >> k) & 1:\n            out ^= rotate(ids, 2 * k, n) & keep\n",
-     "        if (mask >> k) & 1:\n            out ^= rotate(ids, 2 * k, n) & keep\n"
-     "        keep &= rotate(ids, 2 * k - 1, n) ^ full\n",
-     (TABLES,), False),
-    ("keep takes S^(2k+1)", "tables.py",
-     "keep &= rotate(ids, 2 * k - 1, n)", "keep &= rotate(ids, 2 * k + 1, n)", (TABLES,), False),
-    ("term exponent reduced mod n (rotate reduces it)", "tables.py",
-     "rotate(ids, 2 * k, n) & keep", "rotate(ids, 2 * k % n, n) & keep", (TABLES,), True),
+    # the running keep of combination_values, which builds value tables and evaluates single points
+    ("term before the keep update", "bitstate.py",
+     "        keep &= _rot(x, 2 * k - 1, n) ^ full\n"
+     "        if isinstance(keep, int) and not keep:\n            break\n"
+     '        if terms[k] == "1":\n            out ^= _rot(x, 2 * k, n) & keep\n',
+     '        if terms[k] == "1":\n            out ^= _rot(x, 2 * k, n) & keep\n'
+     "        keep &= _rot(x, 2 * k - 1, n) ^ full\n"
+     "        if isinstance(keep, int) and not keep:\n            break\n",
+     (TABLES, EVALUATE), False),
+    ("keep takes S^(2k+1)", "bitstate.py",
+     "keep &= _rot(x, 2 * k - 1, n)", "keep &= _rot(x, 2 * k + 1, n)", (TABLES, EVALUATE), False),
+    ("keep rotation off by one (S^(2k))", "bitstate.py",
+     "keep &= _rot(x, 2 * k - 1, n)", "keep &= _rot(x, 2 * k, n)", (TABLES, EVALUATE), False),
+    ("term exponent reduced mod n (_rot reduces it)", "bitstate.py",
+     "_rot(x, 2 * k, n) & keep", "_rot(x, 2 * k % n, n) & keep", (TABLES, EVALUATE), True),
+    ("out aliases x (out ^= writes into the table's inputs)", "bitstate.py",
+     "x & (full if mask & 1 else 0)", "x if mask & 1 else x & 0", (TABLES,), False),
+    ("no early stop (a zero keep adds nothing to later terms)", "bitstate.py",
+     "        if isinstance(keep, int) and not keep:\n            break\n", "", (TABLES, EVALUATE), True),
+    ("_rot without j %= n (a shift by n - j < 0 raises)", "bitstate.py", "    j %= n\n", "", (TABLES, EVALUATE), False),
+    ("evaluate on the formal mask, unbound (a formal index past n only costs time)", "gammaspan.py",
+     "combination_values(f.at(x.n).mask,", "combination_values(f.mask,", (EVALUATE,), True),
     # the guards that only test_guard_raises reaches
     _guard("_bind without a dimension", "analysis.py",
            "        if f.n is None:\n"

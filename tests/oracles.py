@@ -6,8 +6,10 @@ The shift-and-add product and long division, and on them powers, gcd, inverse,
 trial-division factoring, Rabin's irreducibility test and the order of X by
 stepping; the order of 2 modulo an odd integer by stepping; a pointwise
 evaluator of combinations on one n-bit int; the local rule and de Bruijn pair
-graph of a combination, for permutation status; and the ranges of canonical
-coefficient masks on F_2^n.
+graph of a combination, for permutation status; the Moebius transform and
+algebraic degree of a value table, and the largest difference count of a value
+list, every difference scanned; and the ranges of canonical coefficient masks
+on F_2^n.
 """
 
 import numpy as np
@@ -85,6 +87,37 @@ def pointwise_value(mask: int, n: int, x: int) -> int:
         else:
             out ^= rotated & keep
     return out
+
+
+def moebius(table, n):
+    """Moebius (ANF) transform of a packed table, all coordinates at once."""
+    t = table.copy()
+    for i in range(n):
+        s = 1 << i
+        t = t.reshape(-1, 2 * s)
+        t[:, s:] ^= t[:, :s]
+        t = t.reshape(-1)
+    return t
+
+
+def anf_degree(table, n):
+    """Degree of coordinate 0: the largest monomial in its ANF support."""
+    support = np.flatnonzero(moebius(table, n) & np.uint64(1))
+    return max(int(m).bit_count() for m in support)
+
+
+def ddt_max_scalar(table):
+    """Largest entry of the difference distribution table of a value list, over every
+    nonzero input difference a, counted from each x with a dict."""
+    size = len(table)
+    best = 0
+    for a in range(1, size):
+        counts = {}
+        for x in range(size):
+            b = table[x ^ a] ^ table[x]
+            counts[b] = counts.get(b, 0) + 1
+        best = max(best, max(counts.values()))
+    return best
 
 
 def euclid_gcd(a: int, b: int) -> int:

@@ -24,7 +24,7 @@ from shiftperm.analysis import (
 )
 from shiftperm.bitstate import BitVector
 from shiftperm.gammaspan import (
-    GammaCombination, chi, compose, compose_oracle, evaluate, gamma_term, identity, kappa, phi,
+    GammaCombination, chi, compose, compose_oracle, gamma_term, identity, kappa, phi,
 )
 from shiftperm.poly2 import BinPoly, ONE, ZERO
 from shiftperm.ring import Modulus, NonUnitError, ring_inverse
@@ -39,7 +39,9 @@ from checks import (
     count_calls,
     run_bounded,
 )
-from oracles import local_rule, monoid_masks, span_masks, trial_factor, x_order
+from oracles import (
+    anf_degree, ddt_max_scalar, local_rule, monoid_masks, pointwise_value, span_masks, trial_factor, x_order,
+)
 
 P = BinPoly.parse
 TAU = GammaCombination.from_indices([0, 1, 3])  # g0+g2+g6, polynomial 1+X+X^3
@@ -325,7 +327,7 @@ class TestDegrees:
             for mask in span_masks(n)[1:]:
                 f = GammaCombination(mask, n)
                 assert f.mask == mask, (n, mask)
-                assert algebraic_degree(f) == _anf_degree(tables.function_table(mask, n), n), (n, mask)
+                assert algebraic_degree(f) == anf_degree(tables.function_table(mask, n), n), (n, mask)
 
     def test_matches_anf_oracle_randomized(self):
         rng = random.Random(14)
@@ -334,7 +336,7 @@ class TestDegrees:
             if n % 6:
                 cases.append(inverse(kappa(n)))
             for f in cases:
-                assert algebraic_degree(f) == _anf_degree(tables.function_table(f.mask, n), n), (n, f.mask)
+                assert algebraic_degree(f) == anf_degree(tables.function_table(f.mask, n), n), (n, f.mask)
 
 
 class TestIsBijective:
@@ -349,35 +351,6 @@ class TestIsBijective:
             for values in (perm, clash, [size - 1] * size):
                 table = np.array(values, dtype=np.uint64)
                 assert tables.is_bijective(table) == (len(set(values)) == size), n
-
-
-def _moebius(table, n):
-    """Moebius (ANF) transform of a packed table, all coordinates at once."""
-    t = table.copy()
-    for i in range(n):
-        s = 1 << i
-        t = t.reshape(-1, 2 * s)
-        t[:, s:] ^= t[:, :s]
-        t = t.reshape(-1)
-    return t
-
-
-def _anf_degree(table, n):
-    """Degree of coordinate 0: the largest monomial in its ANF support."""
-    support = np.flatnonzero(_moebius(table, n) & np.uint64(1))
-    return max(int(m).bit_count() for m in support)
-
-
-def _ddt_max_scalar(table):
-    size = len(table)
-    best = 0
-    for a in range(1, size):
-        counts = {}
-        for x in range(size):
-            b = table[x ^ a] ^ table[x]
-            counts[b] = counts.get(b, 0) + 1
-        best = max(best, max(counts.values()))
-    return best
 
 
 class TestDifferentialUniformity:
@@ -397,8 +370,8 @@ class TestDifferentialUniformity:
 
     def test_matches_scalar_oracle(self):
         for f, n in ((chi(5), 5), (kappa(5), 5), (TAU.at(6), 6)):
-            scal = [evaluate(f, BitVector(n, v)).bits for v in range(1 << n)]
-            assert differential_uniformity(f) == _ddt_max_scalar(scal), (f.mask, n)
+            scal = [pointwise_value(f.mask, n, v) for v in range(1 << n)]
+            assert differential_uniformity(f) == ddt_max_scalar(scal), (f.mask, n)
 
     def test_entries_always_even(self):
         # solutions pair up as {x, x+a}, so no odd count can ever appear
@@ -407,7 +380,7 @@ class TestDifferentialUniformity:
             n = rng.randrange(4, 8)
             dim = n if n % 2 == 0 else (n + 1) // 2
             f = GammaCombination(rng.randrange(1 << dim), n)
-            scal = [evaluate(f, BitVector(n, v)).bits for v in range(1 << n)]
+            scal = [pointwise_value(f.mask, n, v) for v in range(1 << n)]
             for a in range(1, 1 << n):
                 counts = {}
                 for x in range(1 << n):
@@ -418,8 +391,8 @@ class TestDifferentialUniformity:
     def test_shift_class_scan_agrees(self):
         # one input difference per cyclic-shift class must give the full scan's maximum
         for f, n in ((kappa(8), 8), (chi(9), 9), (TAU.at(10), 10)):
-            scal = [evaluate(f, BitVector(n, v)).bits for v in range(1 << n)]
-            assert differential_uniformity(f) == _ddt_max_scalar(scal), (f.mask, n)
+            scal = [pointwise_value(f.mask, n, v) for v in range(1 << n)]
+            assert differential_uniformity(f) == ddt_max_scalar(scal), (f.mask, n)
 
     def test_matches_full_numpy_scan(self):
         # every nonzero difference over the whole domain: no shift classes, no pairing

@@ -1,5 +1,6 @@
 import inspect
 import random
+import time
 
 import numpy as np
 import pytest
@@ -149,20 +150,36 @@ class TestEvaluate:
             assert evaluate(f, x) == expect, v
 
     def test_additivity_exhaustive_small(self):
+        # the sum's value is the XOR of the oracle's values of its parts
         for n in (2, 3, 4, 5):
             for fm in span_masks(n):
                 for gm in span_masks(n):
                     f, g = GammaCombination(fm, n), GammaCombination(gm, n)
                     for v in range(1 << n):
-                        x = BitVector(n, v)
-                        assert evaluate(f + g, x) == evaluate(f, x) + evaluate(g, x)
+                        expect = pointwise_value(fm, n, v) ^ pointwise_value(gm, n, v)
+                        assert evaluate(f + g, BitVector(n, v)).bits == expect, (n, fm, gm, v)
+
+    def test_matches_eval_gamma_sums_up_to_64(self):
+        # every single term k <= 2n and seeded sums, formal so that 2k passes n, at seeded
+        # points and at the even positions, which keep the running keep alive on even n
+        rng = random.Random(31)
+        for n in range(1, 65):
+            masks = [1 << k for k in range(2 * n + 1)] + [rng.getrandbits(2 * n + 1) for _ in range(4)]
+            points = [rng.getrandbits(n) for _ in range(3)] + [sum(1 << i for i in range(0, n, 2))]
+            for mask in masks:
+                f = GammaCombination(mask)
+                for v in points:
+                    x, expect = BitVector(n, v), 0
+                    for k in f.indices:
+                        expect ^= eval_gamma(k, x).bits
+                    assert evaluate(f, x).bits == expect, (n, mask, v)
 
     def test_formal_evaluates_on_any_dimension(self):
+        # evaluate binds a formal combination to x.n; the oracle reads the formal mask
         f = GammaCombination.from_indices([0, 3, 12])
         for n in (5, 8, 11):
             for v in (0, 1, (1 << n) - 1):
-                x = BitVector(n, v)
-                assert evaluate(f, x) == evaluate(f.at(n), x)
+                assert evaluate(f, BitVector(n, v)).bits == pointwise_value(f.mask, n, v), (n, v)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -329,6 +346,25 @@ class TestPointwiseMaps:
                     assert pointwise_value(g.mask, n, pointwise_value(f.mask, n, x)) == x, (n, i)
                     assert pointwise_value(f.mask, n, pointwise_value(g.mask, n, x)) == x, (n, i)
 
+    def test_evaluate_round_trip_at_100000(self):
+        # kappa's inverse at n = 10^5 has a mask of 99999 bits.  On the even positions the
+        # keep stays alive to its last term, so evaluate walks every position, as the oracle
+        # does, and may take at most 3x the oracle's time there; kappa takes the value back.
+        # Two dense random points end within a few positions
+        n = 10**5
+        g, rng = inverse(kappa(n)), random.Random(n)
+        x = sum(1 << i for i in range(0, n, 2))
+        start = time.perf_counter()
+        expect = pointwise_value(g.mask, n, x)
+        oracle_s = time.perf_counter() - start
+        start = time.perf_counter()
+        y = evaluate(g, BitVector(n, x))
+        assert time.perf_counter() - start < 3 * oracle_s
+        assert y.bits == expect
+        assert evaluate(kappa(n), y).bits == x
+        for z in (rng.getrandbits(n), rng.getrandbits(n)):
+            assert evaluate(g, BitVector(n, z)).bits == pointwise_value(g.mask, n, z)
+
 
 class TestLinearStructure:
     def test_gamma_tables_linearly_independent(self):
@@ -375,4 +411,5 @@ class TestTablesAgainstScalar:
                 f = GammaCombination(rng.randrange(1, 1 << dim), n)
                 tbl = tables.function_table(f.mask, n)
                 for v in inputs:
-                    assert int(tbl[v]) == evaluate(f, BitVector(n, v)).bits, (n, f.mask, v)
+                    expect = pointwise_value(f.mask, n, v)
+                    assert int(tbl[v]) == evaluate(f, BitVector(n, v)).bits == expect, (n, f.mask, v)

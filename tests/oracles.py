@@ -4,13 +4,16 @@ code it checks.  Coefficient masks are plain ints, bit i the coefficient of X^i.
 
 The shift-and-add product and long division, and on them powers, gcd, inverse,
 trial-division factoring, Rabin's irreducibility test and the order of X by
-stepping; the order of 2 modulo an odd integer by stepping; a pointwise
-evaluator of combinations on one n-bit int; the local rule and de Bruijn pair
-graph of a combination, for permutation status; the Moebius transform and
-algebraic degree of a value table, and the largest difference count of a value
-list, every difference scanned; and the ranges of canonical coefficient masks
-on F_2^n.
+stepping; the order of 2 modulo an odd integer by stepping, a sieve of smallest
+prime factors, and the unit count of the ring for an even n from the divisors of
+n; a pointwise evaluator of combinations on one n-bit int; the local rule and de
+Bruijn pair graph of a combination, for permutation status; the Moebius
+transform and algebraic degree of a value table, and the largest difference
+count of a value list, every difference scanned; and the ranges of canonical
+coefficient masks on F_2^n, and the canonical mask one coefficient at a time.
 """
+
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -23,6 +26,21 @@ def span_masks(n):
 def monoid_masks(n):
     """The canonical masks of the combinations containing gamma(0)."""
     return span_masks(n)[1::2]
+
+
+def per_bit_canonical_mask(mask, n):
+    """Reference canonical form, one coefficient at a time: on odd n drop
+    every k with 2k > n, on even n send k >= n/2 to n/2 + (k mod n/2)."""
+    half = n // 2
+    out = 0
+    for k in range(mask.bit_length()):
+        if not (mask >> k) & 1:
+            continue
+        if n % 2 == 0:
+            out ^= 1 << (k if k < half else half + k % half)
+        elif 2 * k <= n:
+            out ^= 1 << k
+    return out
 
 
 def shift_and_add(a: int, b: int) -> int:
@@ -169,6 +187,35 @@ def ord2(t: int) -> int:
     while r != 1 % t:
         o, r = o + 1, 2 * r % t
     return o
+
+
+def smallest_prime_factors(limit):
+    """The smallest prime factor of each m < limit, by the sieve of Eratosthenes (m itself for m < 2)."""
+    spf = list(range(limit))
+    for p in range(2, isqrt(limit - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def units_from_divisors(n):
+    """|U| on even n = 2^s m (m odd), h = n/2, t = 2^(s-1), o_e = ord_e(2):
+    2^(h-1) prod_{e | m} (2^((t-1) o_e) (2^o_e - 1))^(phi(e)/o_e), as Phi_e
+    splits into phi(e)/o_e irreducibles of degree o_e."""
+    h, m = n // 2, n
+    while m % 2 == 0:
+        m //= 2
+    t = h // m
+    total = 1 << (h - 1)
+    for e in range(1, m + 1):
+        if m % e:
+            continue
+        totient = sum(1 for j in range(1, e + 1) if gcd(j, e) == 1)
+        o = ord2(e)
+        total *= ((1 << (t - 1) * o) * ((1 << o) - 1)) ** (totient // o)
+    return total
 
 
 def rabin_irreducible(f: int) -> bool:

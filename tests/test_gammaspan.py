@@ -25,22 +25,7 @@ from shiftperm.poly2 import BinPoly
 from shiftperm.ring import Modulus, reduce, ring_mul
 from shiftperm.tables import BoundExceededError
 
-from oracles import monoid_masks, pointwise_value, span_masks
-
-
-def per_bit_canonical_mask(mask, n):
-    """Reference canonical form, one coefficient at a time: on odd n drop
-    every k with 2k > n, on even n send k >= n/2 to n/2 + (k mod n/2)."""
-    half = n // 2
-    out = 0
-    for k in range(mask.bit_length()):
-        if not (mask >> k) & 1:
-            continue
-        if n % 2 == 0:
-            out ^= 1 << (k if k < half else half + k % half)
-        elif 2 * k <= n:
-            out ^= 1 << k
-    return out
+from oracles import monoid_masks, per_bit_canonical_mask, pointwise_value, span_masks
 
 
 class TestCanonicalize:

@@ -31,8 +31,8 @@ from shiftperm.poly2 import (
 
 from checks import count_calls, run_bounded
 from oracles import (
-    euclid_gcd, factor_product, long_division, ord2, powmod, rabin_irreducible, shift_and_add, trial_factor,
-    x_order,
+    euclid_gcd, factor_product, long_division, ord2, powmod, rabin_irreducible, shift_and_add,
+    smallest_prime_factors, trial_factor, x_order,
 )
 
 P = BinPoly.parse
@@ -136,9 +136,11 @@ class TestArithmetic:
             assert poly2._clmul(rng.getrandbits(length), 0) == 0
 
     def test_powmod_bits_by_shift_and_add(self):
-        # X takes the shift path, X + 1 and the rest the product; m ^ 2 reduces to X, m to 0
-        rng = random.Random(26)
+        # X takes the shift path, X + 1 and the rest the product; m ^ 2 reduces to X, m to 0; past
+        # the square's switch, the ladder's squares fall on both sides of it
+        rng, s = random.Random(26), poly2._SQUARE_TABLE_MIN_BITS
         moduli = [1, 2, 3] + [rng.getrandbits(d) | 1 << d for d in (2, 12, 32, 64, 137) for _ in range(2)]
+        moduli.append(rng.getrandbits(s + 1) | 1 << s + 1)
         exponents = [0, 1, rng.getrandbits(130)] + [e for k in (1, 2, 7, 64, 129) for e in (1 << k, (1 << k) - 1)]
         for m in moduli:
             d = m.bit_length() - 1
@@ -147,9 +149,11 @@ class TestArithmetic:
                     assert poly2._powmod_bits(base, e, m) == powmod(base, e, m), (base, e, m)
 
     def test_square_and_deinterleave_by_shift_and_add(self):
-        # byte boundaries and the Toom size; all-ones fills every table entry's nibble
+        # byte boundaries, both sides of the switch from base-4 digits to the byte table, and the
+        # Toom size; all-ones fills every table entry's nibble
         rng = random.Random(8)
-        for length in (0, 1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097, 30000):
+        s = poly2._SQUARE_TABLE_MIN_BITS
+        for length in (0, 1, 7, 8, 9, 63, 64, 65, s - 1, s, s + 1, 4095, 4096, 4097, 30000):
             for a in (rng.getrandbits(length) | (1 << length >> 1), (1 << length) - 1):
                 assert poly2._square(a) == shift_and_add(a, a), length
                 e, o = poly2._deinterleave(a)
@@ -619,23 +623,13 @@ MERSENNE_FACTORS = {
 }
 
 
-def _smallest_prime_factors(limit):
-    spf = list(range(limit))
-    for p in range(2, isqrt(limit - 1) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
-
-
 # strong Lucas pseudoprimes with Selfridge's parameters below 2^16 (A217255)
 STRONG_LUCAS = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519}
 
 
 class TestIntegers:
     def test_factor_int_matches_trial_division_below_2_16(self):
-        spf = _smallest_prime_factors(1 << 16)
+        spf = smallest_prime_factors(1 << 16)
         for n in range(1, 1 << 16):
             expect, m = {}, n
             while m > 1:
@@ -657,7 +651,7 @@ class TestIntegers:
         ]
 
     def test_strong_lucas_pseudoprimes_below_2_16(self):
-        spf = _smallest_prime_factors(1 << 16)
+        spf = smallest_prime_factors(1 << 16)
         for n in range(257, 1 << 16, 2):
             if isqrt(n) ** 2 != n:
                 expect = spf[n] == n or n in STRONG_LUCAS

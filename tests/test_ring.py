@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -17,7 +16,7 @@ from shiftperm.ring import (
     unit_group_order,
 )
 
-from oracles import euclid_gcd, euclid_inverse, factor_product, long_division, ord2, shift_and_add
+from oracles import euclid_gcd, euclid_inverse, factor_product, long_division, shift_and_add, units_from_divisors
 
 P = BinPoly.parse
 
@@ -313,24 +312,6 @@ def _units_from_factors(mod):
     return total
 
 
-def _units_from_divisors(n):
-    """|U| on even n = 2^s m (m odd), h = n/2, t = 2^(s-1), o_e = ord_e(2):
-    2^(h-1) prod_{e | m} (2^((t-1) o_e) (2^o_e - 1))^(phi(e)/o_e), as Phi_e
-    splits into phi(e)/o_e irreducibles of degree o_e."""
-    h, m = n // 2, n
-    while m % 2 == 0:
-        m //= 2
-    t = h // m
-    total = 1 << (h - 1)
-    for e in range(1, m + 1):
-        if m % e:
-            continue
-        totient = sum(1 for j in range(1, e + 1) if math.gcd(j, e) == 1)
-        o = ord2(e)
-        total *= ((1 << (t - 1) * o) * ((1 << o) - 1)) ** (totient // o)
-    return total
-
-
 class TestUnitGroupOrder:
     def test_examples(self):
         assert unit_group_order(Modulus(6)) == 12
@@ -351,7 +332,7 @@ class TestUnitGroupOrder:
 
     def test_matches_divisor_form(self):
         for n in list(range(2, 2001, 2)) + [100002]:
-            assert unit_group_order(Modulus(n)) == _units_from_divisors(n), n
+            assert unit_group_order(Modulus(n)) == units_from_divisors(n), n
 
     def test_calls_no_factoring(self, monkeypatch):
         def refuse(*args):
@@ -359,4 +340,4 @@ class TestUnitGroupOrder:
 
         for name in ("factor", "factor_int", "is_irreducible", "irreducible_polys"):
             monkeypatch.setattr(poly2, name, refuse)
-        assert unit_group_order(Modulus(150)) == _units_from_divisors(150)
+        assert unit_group_order(Modulus(150)) == units_from_divisors(150)

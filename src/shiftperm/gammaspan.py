@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from . import tables
 from .bitstate import BitVector, combination_values
-from .poly2 import BinPoly
+from .poly2 import BinPoly, _read_operand
 from .ring import Modulus, reduce_bits, ring_mul
 
 
@@ -38,29 +38,18 @@ class GammaCombination:
 
     @classmethod
     def from_indices(cls, ks, n: int | None = None) -> "GammaCombination":
-        """Build from k-indices (gamma subscripts divided by 2); duplicates cancel.
-        Given n, each index moves to its canonical position before its bit is set;
-        without n the indices are the exponents of BinPoly.from_exponents."""
-        if n is None:
-            return cls(BinPoly.from_exponents(ks).bits)
-        mod = Modulus(n)
-        mask = 0
-        for k in ks:
-            if k < 0:
-                raise ValueError("gamma indices must be nonnegative")
-            if k >= mod.degree:
-                if n % 2:
-                    continue
-                k = n // 2 + k % (n // 2)
-            mask ^= 1 << k
-        return cls(mask, n)
+        """Build from k-indices (gamma subscripts divided by 2) by BinPoly.from_exponents; duplicates
+        cancel.  Given n, each index first moves to its canonical position: on odd n one at or past
+        the modulus degree drops, on even n one at or past n moves to n/2 + (k mod n/2)."""
+        if n is not None:
+            degree, half = Modulus(n).degree, n // 2
+            ks = (k if k < degree else half + k % half for k in ks if k < degree or n % 2 == 0)
+        return cls(BinPoly.from_exponents(ks).bits, n)
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "GammaCombination":
-        """Parse "g0+g2+g4", a k-index list "0,1,2", or a coefficient string "111"."""
+        """Parse "g0+g2+g4", or a k-index list "0,1,2" or a coefficient string "111" by poly2's one reader."""
         t = text.strip().replace(" ", "").lower()
-        if not t:
-            raise ValueError("empty gamma combination text")
         if "g" in t:
             ks = []
             for part in t.split("+"):
@@ -71,13 +60,8 @@ class GammaCombination:
                     raise ValueError(f"gamma subscripts are even, got {sub}")
                 ks.append(sub // 2)
             return cls.from_indices(ks, n)
-        if "," in t:
-            return cls.from_indices((int(p) for p in t.split(",")), n)
-        if set(t) <= {"0", "1"}:
-            return cls(int(t[::-1], 2), n)
-        if t.isdigit():
-            return cls.from_indices([int(t)], n)
-        raise ValueError(f"cannot parse gamma combination {text!r}")
+        read = _read_operand(text, "gamma combination")
+        return cls(read, n) if isinstance(read, int) else cls.from_indices(read, n)
 
     @property
     def indices(self) -> tuple:

@@ -20,10 +20,10 @@ _square.  factor and factor_int meet in one pass, factor_degrees, which factors 
 Phi_e(2), e | d, trial-divides by the primes below 256 and splits the rest by Brent's Pollard
 rho.  Primality is Baillie-PSW, exact below 2^64, no counterexample known above.
 
-Two text forms are accepted everywhere downstream: a binary string
-whose i-th character (left to right) is the coefficient of X^i, e.g.
-"111" for 1 + X + X^2, and a comma-separated exponent list, e.g.
-"0,1,2" for the same polynomial.
+One reader, _read_operand, takes the text of every operand, here and in gammaspan: a binary
+string whose i-th character (left to right) is the coefficient of X^i, e.g. "111" for 1 + X +
+X^2, a comma-separated exponent list, e.g. "0,1,2" for the same polynomial, or a lone exponent
+above 1.  Every exponent list becomes bits in one place, BinPoly.from_exponents.
 """
 
 from __future__ import annotations
@@ -67,21 +67,9 @@ class BinPoly:
 
     @classmethod
     def parse(cls, text: str) -> "BinPoly":
-        """Parse a binary coefficient string or an exponent list.
-
-        "1101011" means 1+X+X^3+X^5+X^6; "0,1,3,5,6" means the same.
-        A lone integer above 1 is read as a single exponent.
-        """
-        t = text.strip().replace(" ", "")
-        if not t:
-            raise ValueError("empty polynomial text")
-        if "," in t:
-            return cls.from_exponents(int(p) for p in t.split(","))
-        if set(t) <= {"0", "1"}:
-            return cls(int(t[::-1], 2))
-        if t.isdigit():
-            return cls.from_exponents([int(t)])
-        raise ValueError(f"cannot parse polynomial {text!r}")
+        """Parse a binary coefficient string or an exponent list, by _read_operand."""
+        read = _read_operand(text, "polynomial")
+        return cls(read) if isinstance(read, int) else cls.from_exponents(read)
 
     @property
     def degree(self) -> int:
@@ -154,13 +142,7 @@ class BinPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result, base = 1, self.bits
-        while e:
-            if e & 1:
-                result = _clmul(result, base)
-            base = _square(base)
-            e >>= 1
-        return BinPoly(result)
+        return BinPoly(_powmod_bits(self.bits, e, 2 << max(self.degree, 0) * e))  # X^(deg f^e + 1): no reduction
 
     def __str__(self):
         if self.bits == 0:
@@ -181,9 +163,24 @@ X = BinPoly(2)
 
 def x_power(k: int) -> BinPoly:
     """The monomial X^k."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    return BinPoly(1 << k)
+    return BinPoly.from_exponents([k])
+
+
+def _read_operand(text: str, name: str):
+    """The one reader of operand text, for BinPoly.parse and GammaCombination.parse: a binary
+    coefficient string, character i that of X^i, "1101011" for 1 + X + X^3 + X^5 + X^6, gives its
+    bits; an exponent list, "0,1,3,5,6" for the same, or a lone integer above 1, "3" for X^3, gives
+    its exponents, for BinPoly.from_exponents.  The refusals name the operand and quote text as given."""
+    t = text.strip().replace(" ", "")
+    if not t:
+        raise ValueError(f"empty {name} text")
+    if "," in t:
+        return (int(p) for p in t.split(","))
+    if set(t) <= {"0", "1"}:
+        return int(t[::-1], 2)
+    if t.isdigit():
+        return [int(t)]
+    raise ValueError(f"cannot parse {name} {text!r}")
 
 
 _WINDOW_MIN_BITS = 256  # multiplier length from which the byte table pays for itself

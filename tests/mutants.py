@@ -4,20 +4,21 @@
 
 With names, only the rows whose name contains one of them as a substring run,
 e.g. `python tests/mutants.py square ladder` while a change works on its own
-rows; with none, every row runs, about 4 minutes on 2 cores.  Either way the
+rows; with none, every row runs, about 3 minutes on 2 cores.  Either way the
 tests named in the rows that run must pass on the unmutated code first.
 
 A row is (name, file under src/shiftperm, exact old text, new text, pytest node
-ids, equivalent).  The script copies src, tests and pyproject.toml to a
-temporary directory, checks there that the named tests pass, and then for each
-row replaces the old text (which must occur exactly once) in the copy, runs the
-named tests under checks.CHILD_MEMORY and a timeout, with the Hypothesis profile
-"mutants" from tests/conftest.py (no shrinking), and puts the file back.
-A mutant the tests do not kill, or one that outlives its timeout, fails the
-gate.  Rows marked equivalent change no behaviour: they must survive, and a
-kill fails the gate too, as it shows the row's claim wrong.  The working tree
-is never edited.  Standard library only, apart from the project's own test
-helpers.
+ids, equivalent).  The script first checks that each selected row's old text
+occurs exactly once in its file; it lists every stale row at once and exits 1
+before any test runs.  It then copies src, tests and pyproject.toml to a
+temporary directory, checks there that the named tests pass, and for each row
+replaces the old text in the copy, runs the named tests under
+checks.CHILD_MEMORY and a timeout, with the Hypothesis profile "mutants" from
+tests/conftest.py (no shrinking), and puts the file back.  A mutant the tests
+do not kill, or one that outlives its timeout, fails the gate.  Rows marked
+equivalent change no behaviour: they must survive, and a kill fails the gate
+too, as it shows the row's claim wrong.  The working tree is never edited.
+Standard library only, apart from the project's own test helpers.
 
 The file name keeps the script out of pytest's collection.
 """
@@ -67,6 +68,9 @@ SMALLEST = "tests/test_poly2.py::TestFindIrreducibleOfOrder::test_smallest_of_ea
 CONSTRUCTED = "tests/test_poly2.py::TestFindIrreducibleOfOrder::test_constructed_degrees_13_to_20"
 ABOVE_THE_BOUND = "tests/test_poly2.py::TestFindIrreducibleOfOrder::test_degree_above_the_bound"
 XI_300 = "tests/test_cli.py::TestXiVerb::test_degree_300"
+GRAMMAR = "tests/test_gammaspan.py::TestParse::test_one_grammar_for_both_parsers"
+PARSE_FORMS = "tests/test_gammaspan.py::TestParse::test_forms"
+CANONICAL = "tests/test_gammaspan.py::TestCanonicalize"
 
 
 def _guard(name, file, old, new="", equivalent=False):
@@ -126,16 +130,24 @@ MUTANTS = [
            '    if f.n is None:\n        raise ValueError("oracle needs a bound dimension")\n'),
     _guard("BinPoly of a negative mask", "poly2.py",
            '        if bits < 0:\n            raise ValueError("coefficient mask must be nonnegative")\n'),
-    _guard("negative power (loops)", "poly2.py",
+    _guard("negative power (BinPoly(1) ** -1 returns BinPoly(1))", "poly2.py",
            '        if e < 0:\n            raise ValueError("negative power of a polynomial")\n'),
     _guard("_mod_bits by zero (loops)", "poly2.py",
            '    if b == 0:\n        raise ZeroDivisionError("division by the zero polynomial")\n'
            "    db = b.bit_length()\n    while",
            "    db = b.bit_length()\n    while"),
-    _guard("x_power(k < 0) (1 << -1 raises)", "poly2.py",
-           '    if k < 0:\n        raise ValueError("exponent must be nonnegative")\n', equivalent=True),
     _guard("irreducible_polys(degree < 1) (is_irreducible(1) raises)", "poly2.py",
            '    if degree < 1:\n        raise ValueError("degree must be positive")\n', equivalent=True),
+    # the one reader of operand text and the one builder of bits from exponents
+    ("from_exponents without the negative check", "poly2.py",
+     '            if e < 0:\n                raise ValueError("exponents must be nonnegative")\n', "", (GRAMMAR,), False),
+    ("a lone integer read as a coefficient string", "poly2.py",
+     "        return [int(t)]\n", "        return int(t[::-1], 2)\n", (GRAMMAR, PARSE_FORMS), False),
+    ("odd-n index past the degree kept", "gammaspan.py",
+     "(k if k < degree else half + k % half for k in ks if k < degree or n % 2 == 0)",
+     "(k if k < degree or n % 2 else half + k % half for k in ks)", (GRAMMAR, CANONICAL), False),
+    ("even-n wrap mod n in place of n/2", "gammaspan.py",
+     "else half + k % half for k in ks", "else k % n for k in ks", (GRAMMAR, CANONICAL), False),
     # the inverse: one Newton recursion over dimensions on half-size products
     ("split step without << 1", "ring.py",
      "_square(_mul_bits(o, u, sub)) << 1", "_square(_mul_bits(o, u, sub))", (INVERSE_MOD_X, INVERSE), False),
@@ -269,6 +281,12 @@ def main(names) -> int:
     if not rows:
         print(f"no row's name contains any of {names}", file=sys.stderr)
         return 1
+    stale = [(name, file, count) for name, file, old, *_ in rows
+             if (count := (ROOT / "src" / "shiftperm" / file).read_text().count(old)) != 1]
+    for name, file, count in stale:
+        print(f"STALE  {name}: the old text occurs {count} times in {file}", file=sys.stderr)
+    if stale:
+        return 1
     bad = 0
     with tempfile.TemporaryDirectory(prefix="shiftperm-mutants-") as tmp:
         work = pathlib.Path(tmp)
@@ -283,10 +301,6 @@ def main(names) -> int:
         for name, file, old, new, tests, equivalent in rows:
             path = work / "src" / "shiftperm" / file
             text = path.read_text()
-            if text.count(old) != 1:
-                print(f"FAIL  {name}: the old text occurs {text.count(old)} times in {file}")
-                bad += 1
-                continue
             path.write_text(text.replace(old, new))
             start = time.perf_counter()
             outcome = run_tests(work, tests)

@@ -104,6 +104,41 @@ class TestParse:
             with pytest.raises(ValueError):
                 GammaCombination.parse(bad)
 
+    def test_one_grammar_for_both_parsers(self):
+        """BinPoly.parse and GammaCombination.parse read one grammar: the same bits, or the same refusal up to
+        the operand's name.  A formal parse bound to n is the parse given n, and a bound index moves first."""
+        rng, cap = random.Random(33), poly2.EXPONENT_CAP
+        texts = ["0", "1", "2", "10", "", " ", ",", "1,", "x", "1 2X", "2.5", "1,X", "0b11", "-1", "3,3"]
+        for _ in range(200):
+            ones = format(rng.getrandbits(rng.randrange(1, 40)), "b")  # a coefficient string, zeros around it
+            texts.append("0" * rng.randrange(3) + ones[::-1] + "0" * rng.randrange(3))
+            rare = (-rng.randrange(1, 4), cap, cap + rng.randrange(1, 9))
+            exps = [rng.choice(rare) if rng.random() < 0.1 else rng.randrange(12) for _ in range(rng.randrange(1, 7))]
+            texts.append(rng.choice((",", ", ", " , ")).join(map(str, exps)))
+        for t in texts:
+            try:
+                bits = BinPoly.parse(t).bits
+            except ValueError as error:
+                with pytest.raises(ValueError) as refusal:
+                    GammaCombination.parse(t)
+                assert str(refusal.value) == str(error).replace("polynomial", "gamma combination"), t
+                continue
+            formal = GammaCombination.parse(t)
+            assert formal.mask == bits, t
+            for n in (1, 7, 9, 8, 10, 64):
+                assert GammaCombination.parse(t, n) == formal.at(n), (t, n)
+        assert [BinPoly.parse(t).bits for t in ("0", "1", "2", "10", "0110100")] == [0, 1, 4, 1, 0b10110]
+        for t in ("0,-1", "-2, 3"):
+            for n in (None, 7, 8):
+                with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+                    GammaCombination.parse(t, n)
+        for k in (cap + 1, 3 * cap + 5):  # refused formally, moved to its canonical position given n
+            with pytest.raises(ValueError, match=f"^exponent {k} exceeds the cap"):
+                GammaCombination.parse(f"0,{k}")
+            for n in (7, 9, 8, 10, 64):
+                expected = (0,) if n % 2 else (0, n // 2 + k % (n // 2))
+                assert GammaCombination.parse(f"0,{k}", n).indices == expected, (k, n)
+
     def test_strings(self):
         k = kappa(8)
         assert k.gamma_string() == "g0+g2+g4"
